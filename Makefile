@@ -57,7 +57,8 @@ BENCH_CMDS = \
 	$(GO) test -run '^$$' -bench BenchmarkSystemSizeSweep -benchtime 1x ./internal/search; \
 	$(GO) test -run '^$$' -bench BenchmarkRunner -benchtime 100x ./internal/perf; \
 	$(GO) test -run '^$$' -bench BenchmarkSearchWarmStore -benchtime 100x ./internal/resultstore; \
-	$(GO) test -run '^$$' -bench BenchmarkServingSearch -benchtime 20x -count 3 ./internal/serving
+	$(GO) test -run '^$$' -bench BenchmarkServingSearch -benchtime 20x -count 3 ./internal/serving; \
+	$(GO) test -run '^$$' -bench 'BenchmarkEstimate$$|BenchmarkEstimatorWarm' -benchtime 100x ./internal/inference
 
 bench:
 	@{ $(BENCH_CMDS); } | tee /dev/stderr | $(GO) run ./cmd/benchdiff -baseline BENCH_BASELINE.json -tolerance 0.30

@@ -16,6 +16,7 @@ package inference
 
 import (
 	"fmt"
+	"sync"
 
 	"calculon/internal/comm"
 	"calculon/internal/execution"
@@ -82,12 +83,61 @@ type Result struct {
 // strategy apply; training-only techniques must be off (the strategy is
 // validated with Inference forced on).
 //
+// It is a fresh Estimator's single call; callers pricing many points of one
+// (model, system) pair should keep an Estimator instead.
+func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload) (Result, error) {
+	return NewEstimator(m, sys).Estimate(sys.Procs, st, w)
+}
+
+// Estimator prices many serving points of one model on resized variants of
+// one base system, serving every estimate from shared memos. Nearly all of
+// an estimate's cost is pricing two layer graphs, and neither depends on
+// most of the point:
+//
+//   - the prefill pass is a perf.Runner evaluation whose block profile
+//     depends on the prompt length and the strategy's shard, never on the
+//     batch or the processor count (perf.RunnerGroup), so the Estimator keeps
+//     one group per prompt length and one Runner per (prompt length, global
+//     batch, processors);
+//   - the decode step's block totals depend only on (tp, fused).
+//
+// Both memos are exact: every estimate is bit-identical to what a fresh
+// Estimator returns, errors included (the randomized property test pins
+// this). An Estimator is safe for concurrent use by any number of
+// goroutines.
+type Estimator struct {
+	m    model.LLM
+	base system.System
+
+	groups  sync.Map // prompt length -> *perf.RunnerGroup
+	runners sync.Map // runnerKey -> *perf.Runner
+	decode  sync.Map // decodeKey -> *layers.Totals
+}
+
+type runnerKey struct{ seq, batch, procs int }
+
+type decodeKey struct {
+	tp    int
+	fused bool
+}
+
+// NewEstimator returns an estimator for the model on resizes of sys.
+// Nothing is validated up front: each estimate validates its own workload,
+// model and system in the order Estimate always has, so a shared Estimator
+// reports exactly the errors a fresh one would.
+func NewEstimator(m model.LLM, sys system.System) *Estimator {
+	return &Estimator{m: m, base: sys}
+}
+
+// Estimate prices the workload under the strategy on the estimator's
+// system resized to procs processors; see the package-level Estimate.
+//
 // The memory rows must round identically to the serving pre-screen's
 // analytic bound on every architecture, so the arithmetic is kept FMA-free
 // (see docs/LINT.md).
 //
 //calculonvet:ordered
-func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload) (Result, error) {
+func (e *Estimator) Estimate(procs int, st execution.Strategy, w Workload) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -96,17 +146,19 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	st.Recompute = execution.RecomputeNone
 
 	// Prefill: a forward pass over the prompt, reusing the training model's
-	// forward path with seq = PromptLen.
-	pm := m
-	pm.Seq = w.PromptLen
-	pm.Batch = w.Batch * st.DP // perf treats Batch globally across DP
+	// forward path with seq = PromptLen and the batch global across DP.
 	if st.Microbatch > w.Batch {
 		st.Microbatch = w.Batch
 	}
-	pr, err := perf.Run(pm, sys, st)
+	r, err := e.runner(w.PromptLen, w.Batch*st.DP, procs)
 	if err != nil {
 		return Result{}, err
 	}
+	pr, err := r.Run(st)
+	if err != nil {
+		return Result{}, err
+	}
+	m, sys := e.m, e.base.WithProcs(procs)
 
 	var res Result
 	res.PrefillTime = pr.BatchTime
@@ -114,8 +166,7 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	// Decode step: GEMMs become skinny matrix-vector products over the
 	// batch; attention reads the whole KV cache. Everything is sharded by
 	// TP; the pipeline processes the step stage by stage.
-	sh := layers.Shard{TP: st.TP, Microbatch: 1, Inference: true, Fused: st.FusedLayers}
-	tot := layers.Sum(layers.Block(m, sh))
+	tot := e.decodeTotals(st.TP, st.FusedLayers)
 	blocksPerProc := st.BlocksPerProc(m)
 	ctx := w.PromptLen + w.GenLen
 	b := float64(w.Batch)
@@ -201,6 +252,58 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 			perf.ErrInfeasible, res.Mem1Used, sys.Mem1.Capacity, res.KVCacheBytes)
 	}
 	return res, nil
+}
+
+// runner returns the prefill Runner for (prompt length, global batch,
+// processors), built on first use from the prompt length's memo-sharing
+// group. Failed constructions are not cached, so every call reports the
+// validation error perf.Run would.
+func (e *Estimator) runner(seq, batch, procs int) (*perf.Runner, error) {
+	k := runnerKey{seq, batch, procs}
+	if v, ok := e.runners.Load(k); ok {
+		return v.(*perf.Runner), nil
+	}
+	g, err := e.group(seq, batch, procs)
+	if err != nil {
+		return nil, err
+	}
+	r, err := g.RunnerForBatch(e.base.WithProcs(procs), batch)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := e.runners.LoadOrStore(k, r)
+	return v.(*perf.Runner), nil
+}
+
+// group returns the memo-sharing Runner group of one prompt length. batch
+// and procs only seed the group's base point, so a group that fails to
+// build reports the error perf.Run gives for the first point that needs it.
+func (e *Estimator) group(seq, batch, procs int) (*perf.RunnerGroup, error) {
+	if v, ok := e.groups.Load(seq); ok {
+		return v.(*perf.RunnerGroup), nil
+	}
+	pm := e.m
+	pm.Seq = seq
+	pm.Batch = batch
+	g, err := perf.NewRunnerGroup(pm, e.base.WithProcs(procs))
+	if err != nil {
+		return nil, err
+	}
+	v, _ := e.groups.LoadOrStore(seq, g)
+	return v.(*perf.RunnerGroup), nil
+}
+
+// decodeTotals returns the block totals the decode step streams: one
+// token's block graph at microbatch 1, which depends only on (tp, fused).
+func (e *Estimator) decodeTotals(tp int, fused bool) *layers.Totals {
+	k := decodeKey{tp, fused}
+	if v, ok := e.decode.Load(k); ok {
+		return v.(*layers.Totals)
+	}
+	sh := layers.Shard{TP: tp, Microbatch: 1, Inference: true, Fused: fused}
+	tot := layers.Sum(layers.Block(e.m, sh))
+	v, _ := e.decode.LoadOrStore(k, &tot)
+	return v.(*layers.Totals)
 }
 
 // p2pLat prices the pipeline-boundary hops of one token's latency path:

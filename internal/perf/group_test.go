@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -36,6 +37,72 @@ func TestBlockProfileProcsIndependent(t *testing.T) {
 					st, sizes[0], n, ref, got)
 			}
 		}
+	}
+}
+
+// TestBlockProfileBatchIndependent is the invariant behind
+// RunnerGroup.RunnerForBatch: the per-block profile reads the microbatch
+// (part of the key) but never the global batch, so profiles computed for one
+// batch are bit-identical at every other. A serving search prices every
+// engine batch of a prompt length against one group on the strength of it.
+func TestBlockProfileBatchIndependent(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(32)
+	o := execution.EnumOptions{Procs: 16, Features: execution.FeatureSeqPar, MaxInterleave: 2}
+	var sts []execution.Strategy
+	o.Enumerate(m, func(s execution.Strategy) bool {
+		sts = append(sts, s)
+		return len(sts) < 64
+	})
+	if len(sts) == 0 {
+		t.Fatal("no strategies enumerated")
+	}
+	sys := system.A100(16)
+	for _, st := range sts {
+		for _, infer := range []bool{false, true} {
+			st.Inference = infer
+			ref := computeProfile(m, sys, st)
+			for _, batch := range []int{1, 7, 2048} {
+				got := computeProfile(m.WithBatch(batch), sys, st)
+				if got != ref {
+					t.Fatalf("profile for %v differs between batch %d and %d:\n%+v\nvs\n%+v",
+						st, m.Batch, batch, ref, got)
+				}
+			}
+		}
+	}
+}
+
+// TestRunnerForBatchMatchesFresh checks that a group Runner for a batch
+// variant returns exactly what a standalone Runner on that model does, and
+// that it refuses an invalid batch with the standalone constructor's error.
+func TestRunnerForBatchMatchesFresh(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(32)
+	group, err := NewRunnerGroup(m, system.A100(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := execution.Strategy{TP: 4, PP: 2, DP: 2, Microbatch: 2, Interleave: 1,
+		OneFOneB: true, Recompute: execution.RecomputeFull}
+	for _, batch := range []int{32, 4, 64, 1} {
+		sys := system.A100(16 * batch)
+		shared, err := group.RunnerForBatch(sys, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewRunner(m.WithBatch(batch), sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotErr := shared.Run(st)
+		want, wantErr := fresh.Run(st)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: shared (%v, %v) vs fresh (%v, %v)", batch, got.BatchTime, gotErr, want.BatchTime, wantErr)
+		}
+	}
+	_, gotErr := group.RunnerForBatch(system.A100(16), 0)
+	_, wantErr := NewRunner(m.WithBatch(0), system.A100(16))
+	if gotErr == nil || gotErr.Error() != wantErr.Error() {
+		t.Errorf("batch 0: got %v, want %v", gotErr, wantErr)
 	}
 }
 

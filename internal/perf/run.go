@@ -25,7 +25,7 @@ func Run(m model.LLM, sys system.System, st execution.Strategy) (Result, error) 
 	if err := sys.Validate(); err != nil {
 		return Result{}, err
 	}
-	return newRunner(m, sys).Run(st)
+	return newRunner(m, sys, &sync.Map{}, &sync.Map{}).Run(st)
 }
 
 // Runner evaluates many strategies against one fixed, pre-validated
@@ -68,15 +68,15 @@ func NewRunner(m model.LLM, sys system.System) (*Runner, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	return newRunner(m, sys), nil
+	return newRunner(m, sys, &sync.Map{}, &sync.Map{}), nil
 }
 
-func newRunner(m model.LLM, sys system.System) *Runner {
+func newRunner(m model.LLM, sys system.System, memo, graphs *sync.Map) *Runner {
 	return &Runner{
 		m:      m,
 		sys:    sys,
-		memo:   &sync.Map{},
-		graphs: &sync.Map{},
+		memo:   memo,
+		graphs: graphs,
 		screen: execution.NewPreScreen(m, execution.Limits{
 			Procs: sys.Procs,
 			Mem1:  sys.Mem1.Capacity,
@@ -96,19 +96,22 @@ func (r *Runner) usefulFLOPs(st execution.Strategy) units.FLOPs {
 	return r.usefulTrain
 }
 
-// RunnerGroup builds Runners for system-size variants of one base system
-// that share a single block-profile memo. The memo key
-// (tp, microbatch, recompute, seqParallel, tpRedo, fused, inference) and the
-// profile computation read nothing size-dependent — only the model, the
-// compute engines, and the first memory tier — so a profile memoized while
-// searching one processor count is bit-identical at every other, and a §5.2
-// sweep warms the cache once instead of once per size.
-// TestBlockProfileProcsIndependent guards the key-relevance invariant.
+// RunnerGroup builds Runners for system-size and global-batch variants of
+// one base (model, system) pair that share a single block-profile memo. The
+// memo key (tp, microbatch, recompute, seqParallel, tpRedo, fused,
+// inference) and the profile computation read nothing size- or
+// batch-dependent — only the model's shape and sequence length, the compute
+// engines, and the first memory tier — so a profile memoized while searching
+// one processor count or batch is bit-identical at every other: a §5.2 sweep
+// warms the cache once instead of once per size, and a serving search once
+// per prompt length instead of once per engine.
+// TestBlockProfileProcsIndependent and TestBlockProfileBatchIndependent
+// guard the key-relevance invariants.
 type RunnerGroup struct {
 	m      model.LLM
 	base   system.System
-	memo   *sync.Map
-	graphs *sync.Map
+	memo   sync.Map
+	graphs sync.Map
 }
 
 // NewRunnerGroup validates the model and base system once and returns a
@@ -120,7 +123,7 @@ func NewRunnerGroup(m model.LLM, base system.System) (*RunnerGroup, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	return &RunnerGroup{m: m, base: base, memo: &sync.Map{}, graphs: &sync.Map{}}, nil
+	return &RunnerGroup{m: m, base: base}, nil
 }
 
 // RunnerFor returns a Runner for the group's model on sys, serving block
@@ -130,19 +133,32 @@ func NewRunnerGroup(m model.LLM, base system.System) (*RunnerGroup, error) {
 // hardware. Everything else (processor count, capacities elsewhere,
 // networks, the second tier) may vary freely.
 func (g *RunnerGroup) RunnerFor(sys system.System) (*Runner, error) {
+	return g.RunnerForBatch(sys, g.m.Batch)
+}
+
+// RunnerForBatch is RunnerFor for the group's model with its global batch
+// replaced by batch. The model is validated before the system, the order
+// Run and NewRunner use, so a failure reports the same error they would.
+func (g *RunnerGroup) RunnerForBatch(sys system.System, batch int) (*Runner, error) {
+	m := g.m
+	m.Batch = batch
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	if !reflect.DeepEqual(sys.Compute, g.base.Compute) {
+	// The comparisons take pointers into the heap-resident Runner and group
+	// so they allocate nothing: a serving search builds a Runner per
+	// (prompt length, batch, processors).
+	r := newRunner(m, sys, &g.memo, &g.graphs)
+	if !reflect.DeepEqual(&r.sys.Compute, &g.base.Compute) {
 		return nil, fmt.Errorf("perf: runner group: compute differs from the base system")
 	}
-	if !reflect.DeepEqual(sys.Mem1.Bandwidth, g.base.Mem1.Bandwidth) ||
-		!reflect.DeepEqual(sys.Mem1.Efficiency, g.base.Mem1.Efficiency) {
+	if !reflect.DeepEqual(&r.sys.Mem1.Bandwidth, &g.base.Mem1.Bandwidth) ||
+		!reflect.DeepEqual(&r.sys.Mem1.Efficiency, &g.base.Mem1.Efficiency) {
 		return nil, fmt.Errorf("perf: runner group: first-tier timing differs from the base system")
 	}
-	r := newRunner(g.m, sys)
-	r.memo = g.memo
-	r.graphs = g.graphs
 	return r, nil
 }
 

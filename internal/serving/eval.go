@@ -3,9 +3,9 @@ package serving
 import (
 	"errors"
 
+	"calculon/internal/execution"
 	"calculon/internal/inference"
 	"calculon/internal/perf"
-	"calculon/internal/system"
 	"calculon/internal/units"
 )
 
@@ -26,7 +26,8 @@ type engineProfile struct {
 	// mean generation, full batch).
 	est inference.Result
 	// prefill1 is each bucket's batch-1 prefill time on the decode system —
-	// the TTFT prefill term of a colocated deployment.
+	// the TTFT prefill term of a colocated deployment. It and prefillP1 are
+	// shared, read-only, across the engines of one (tp, pp) group.
 	prefill1 []units.Seconds
 	// prefillP1 and prefillPMean are the prefill-pool equivalents on the
 	// prefill system (disaggregated mode only): per-bucket batch-1 prefill
@@ -35,61 +36,122 @@ type engineProfile struct {
 	prefillPMean units.Seconds
 }
 
-// evalEngine prices one engine configuration. Infeasible engines (capacity,
-// divisibility) come back with ok=false; any other estimation error is
-// recorded for the search to surface.
-func evalEngine(spec *Spec, cfg engineConfig, pbar, gbar int) engineProfile {
-	var p engineProfile
-	st := strategyFor(cfg.tp, cfg.pp)
+// groupEval prices the engines of one (tp, pp) group of the enumeration —
+// a contiguous run of batches and KV placements that one worker owns, so
+// its lazily filled prefill sets need no lock. The batch-1 prefill times
+// that govern TTFT depend on the group, the bucket and (on the decode pool)
+// the KV placement, never on the engine's batch, so each set is priced once
+// per group instead of once per engine.
+type groupEval struct {
+	spec       *Spec
+	est, estP  *inference.Estimator // decode and prefill pool systems
+	pbar, gbar int
+
+	st    execution.Strategy
+	procs int
+
+	decode [2]*prefillSet // decode-pool prefills, by KV placement
+	pool   *prefillSet    // prefill-pool prefills (disaggregated mode)
+}
+
+// prefillSet is a group's batch-1 prefill times over the workload mix, or
+// the first error pricing them in bucket order.
+type prefillSet struct {
+	times []units.Seconds
+	// mean is the mean-prompt prefill time (prefill pool only).
+	mean units.Seconds
+	err  error
+}
+
+func newGroupEval(spec *Spec, est, estP *inference.Estimator, cfg engineConfig, pbar, gbar int) *groupEval {
 	// The engine occupies exactly tp·pp processors; the budget is a
 	// cluster-level bound, so the per-replica estimate runs on a system of
 	// the engine's own size.
-	sysD := spec.System.WithProcs(cfg.tp * cfg.pp)
+	return &groupEval{
+		spec: spec, est: est, estP: estP, pbar: pbar, gbar: gbar,
+		st:    strategyFor(cfg.tp, cfg.pp),
+		procs: cfg.tp * cfg.pp,
+	}
+}
 
-	est, err := inference.Estimate(spec.Model, sysD, st, inference.Workload{
-		PromptLen: pbar, GenLen: gbar, Batch: cfg.batch, KVOffload: cfg.kvOffload,
+// eval prices one engine configuration of the group. Infeasible engines
+// (capacity, divisibility) come back with ok=false; any other estimation
+// error is recorded for the search to surface. The mean estimate comes
+// first: an engine that fails it never reaches its prefill sets.
+func (g *groupEval) eval(cfg engineConfig) engineProfile {
+	est, err := g.est.Estimate(g.procs, g.st, inference.Workload{
+		PromptLen: g.pbar, GenLen: g.gbar, Batch: cfg.batch, KVOffload: cfg.kvOffload,
 	})
 	if err != nil {
 		return profileErr(err)
 	}
-	p.est = est
+	p := engineProfile{est: est}
 
-	p.prefill1 = make([]units.Seconds, len(spec.Workload.Mix))
-	for i, b := range spec.Workload.Mix {
-		r, err := inference.Estimate(spec.Model, sysD, st, inference.Workload{
-			PromptLen: b.PromptLen, GenLen: b.GenLen, Batch: 1, KVOffload: cfg.kvOffload,
-		})
-		if err != nil {
-			return profileErr(err)
-		}
-		p.prefill1[i] = r.PrefillTime
+	d := g.decodePrefills(cfg.kvOffload)
+	if d.err != nil {
+		return profileErr(d.err)
 	}
+	p.prefill1 = d.times
 
-	if spec.Space.Disaggregate {
-		sysP := prefillSystem(spec).WithProcs(cfg.tp * cfg.pp)
-		// Prefill replicas run prompt-only passes (GenLen 0) and never
-		// offload: they hold one prompt's KV, not a batch's steady state.
-		r, err := inference.Estimate(spec.Model, sysP, st, inference.Workload{
-			PromptLen: pbar, GenLen: 0, Batch: 1,
-		})
-		if err != nil {
-			return profileErr(err)
+	if g.spec.Space.Disaggregate {
+		pool := g.poolPrefills()
+		if pool.err != nil {
+			return profileErr(pool.err)
 		}
-		p.prefillPMean = r.PrefillTime
-		p.prefillP1 = make([]units.Seconds, len(spec.Workload.Mix))
-		for i, b := range spec.Workload.Mix {
-			r, err := inference.Estimate(spec.Model, sysP, st, inference.Workload{
-				PromptLen: b.PromptLen, GenLen: 0, Batch: 1,
-			})
-			if err != nil {
-				return profileErr(err)
-			}
-			p.prefillP1[i] = r.PrefillTime
-		}
+		p.prefillPMean, p.prefillP1 = pool.mean, pool.times
 	}
 
 	p.ok = true
 	return p
+}
+
+// decodePrefills returns each bucket's batch-1 prefill time on the decode
+// system — the TTFT prefill term of a colocated deployment.
+func (g *groupEval) decodePrefills(kvOffload bool) *prefillSet {
+	i := 0
+	if kvOffload {
+		i = 1
+	}
+	if g.decode[i] == nil {
+		g.decode[i] = g.prefills(g.est, func(b Bucket) inference.Workload {
+			return inference.Workload{PromptLen: b.PromptLen, GenLen: b.GenLen, Batch: 1, KVOffload: kvOffload}
+		})
+	}
+	return g.decode[i]
+}
+
+// poolPrefills returns the prefill-pool equivalents on the prefill system:
+// the mean-prompt batch-1 prefill time that sizes the pool, then the
+// per-bucket batch-1 prefill times. Prefill replicas run prompt-only passes
+// (GenLen 0) and never offload: they hold one prompt's KV, not a batch's
+// steady state.
+func (g *groupEval) poolPrefills() *prefillSet {
+	if g.pool == nil {
+		r, err := g.estP.Estimate(g.procs, g.st, inference.Workload{PromptLen: g.pbar, GenLen: 0, Batch: 1})
+		if err != nil {
+			g.pool = &prefillSet{err: err}
+			return g.pool
+		}
+		g.pool = g.prefills(g.estP, func(b Bucket) inference.Workload {
+			return inference.Workload{PromptLen: b.PromptLen, GenLen: 0, Batch: 1}
+		})
+		g.pool.mean = r.PrefillTime
+	}
+	return g.pool
+}
+
+// prefills prices each bucket's prefill time, stopping at the first error in
+// bucket order.
+func (g *groupEval) prefills(est *inference.Estimator, w func(Bucket) inference.Workload) *prefillSet {
+	times := make([]units.Seconds, len(g.spec.Workload.Mix))
+	for k, b := range g.spec.Workload.Mix {
+		r, err := est.Estimate(g.procs, g.st, w(b))
+		if err != nil {
+			return &prefillSet{err: err}
+		}
+		times[k] = r.PrefillTime
+	}
+	return &prefillSet{times: times}
 }
 
 // profileErr folds an estimation error into a profile: infeasibility is a
@@ -99,12 +161,4 @@ func profileErr(err error) engineProfile {
 		return engineProfile{}
 	}
 	return engineProfile{err: err}
-}
-
-// prefillSystem returns the system the disaggregated prefill pool runs on.
-func prefillSystem(spec *Spec) system.System {
-	if spec.PrefillSystem != nil {
-		return *spec.PrefillSystem
-	}
-	return spec.System
 }

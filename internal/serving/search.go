@@ -4,20 +4,17 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"calculon/internal/comm"
+	"calculon/internal/inference"
 	"calculon/internal/search"
 	"calculon/internal/tco"
 	"calculon/internal/units"
 )
-
-// engineChunk is the number of engine configurations a worker claims at a
-// time: small enough to keep workers busy near the end of the space, large
-// enough that an engine's handful of estimates amortizes the channel hop.
-const engineChunk = 16
 
 // frontierCompactAt bounds the candidate buffer between Pareto compactions.
 const frontierCompactAt = 4096
@@ -113,8 +110,10 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 }
 
 // evalAll is stage 1: the parallel engine-profile evaluation. Workers pull
-// contiguous index spans and write into the dense profiles array; after
-// cancellation they keep draining so the producer's sends always complete.
+// whole (tp, pp) groups of the enumeration — contiguous index spans — and
+// write into the dense profiles array; after cancellation they keep
+// draining so the producer's sends always complete. One Estimator per
+// system serves every estimate of the search from shared memos.
 func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progress, cfgs []engineConfig, pbar, gbar int) ([]engineProfile, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -123,6 +122,13 @@ func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progres
 	var screen *preScreen
 	if !opts.DisablePreScreen {
 		screen = newPreScreen(spec, pbar+gbar)
+	}
+	// Without a distinct prefill system both pools share one estimator, so
+	// the prefill pool's passes reuse the decode pool's priced graphs.
+	est := inference.NewEstimator(spec.Model, spec.System)
+	estP := est
+	if spec.PrefillSystem != nil {
+		estP = inference.NewEstimator(spec.Model, *spec.PrefillSystem)
 	}
 	profiles := make([]engineProfile, len(cfgs))
 	type span struct{ lo, hi int }
@@ -137,6 +143,7 @@ func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progres
 					continue
 				}
 				var delta search.Counts
+				g := newGroupEval(spec, est, estP, cfgs[s.lo], pbar, gbar)
 				for i := s.lo; i < s.hi; i++ {
 					delta.Evaluated++
 					if screen != nil {
@@ -146,7 +153,7 @@ func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progres
 							continue
 						}
 					}
-					profiles[i] = evalEngine(spec, cfgs[i], pbar, gbar)
+					profiles[i] = g.eval(cfgs[i])
 				}
 				if prog != nil {
 					prog.AddCounts(delta)
@@ -155,16 +162,17 @@ func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progres
 		}()
 	}
 produce:
-	for lo := 0; lo < len(cfgs); lo += engineChunk {
-		hi := lo + engineChunk
-		if hi > len(cfgs) {
-			hi = len(cfgs)
+	for lo := 0; lo < len(cfgs); {
+		hi := lo + 1
+		for hi < len(cfgs) && cfgs[hi].tp == cfgs[lo].tp && cfgs[hi].pp == cfgs[lo].pp {
+			hi++
 		}
 		select {
 		case <-ctx.Done():
 			break produce
 		case spans <- span{lo, hi}:
 		}
+		lo = hi
 	}
 	close(spans)
 	wg.Wait()
@@ -280,7 +288,9 @@ func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gb
 		}
 	}
 	fr.compact()
-	return fr.pts, feasible
+	// An exact-length copy: the compacted slice still pins the whole
+	// candidate buffer, which a long-lived Result would keep alive.
+	return slices.Clone(fr.pts), feasible
 }
 
 // costPerMToken is tco.CostPerMToken with the hourly unit price hoisted out

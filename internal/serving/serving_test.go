@@ -307,3 +307,22 @@ func TestPrefillSystemPool(t *testing.T) {
 		t.Errorf("slower prefill pool should not need fewer replicas: %d vs %d", maxSlow, maxFast)
 	}
 }
+
+// TestFrontierOwnsExactBuffer is the retention regression: compaction keeps
+// survivors at the front of the candidate buffer, and returning that slice
+// would pin the whole buffer for as long as the Result lives (a daemon keeps
+// many). The frontier must be an exact-length copy.
+func TestFrontierOwnsExactBuffer(t *testing.T) {
+	spec := basicSpec()
+	spec.Space.Disaggregate = true
+	res, err := Search(context.Background(), spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Frontier) == 0 {
+		t.Fatal("empty frontier proves nothing")
+	}
+	if cap(res.Frontier) != len(res.Frontier) {
+		t.Errorf("frontier of %d points holds a %d-slot buffer", len(res.Frontier), cap(res.Frontier))
+	}
+}
