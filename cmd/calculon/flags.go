@@ -12,7 +12,6 @@ import (
 
 	"calculon/internal/resultstore"
 	"calculon/internal/search"
-	"calculon/internal/serving"
 	"calculon/internal/units"
 )
 
@@ -46,11 +45,13 @@ func addRuntime(fs *flag.FlagSet) *runtimeFlags {
 	return r
 }
 
-// openStore opens the persistent result store named by -store and wires it
-// into the search options. The returned close function flushes the pending
-// batch; its error must reach the user — a verdict that never hit disk is a
-// cache that silently re-pays the walk next run.
-func (r *runtimeFlags) openStore(opts *search.Options) (func() error, error) {
+// openStore opens the persistent result store named by -store and hands it
+// to wire, which attaches it to the search options (the training search
+// takes the store itself, the serving search its ServingCache view); wire is
+// not called without -store. The returned close function flushes the
+// pending batch; its error must reach the user — a verdict that never hit
+// disk is a cache that silently re-pays the walk next run.
+func (r *runtimeFlags) openStore(wire func(*resultstore.Store)) (func() error, error) {
 	if r.store == "" {
 		return func() error { return nil }, nil
 	}
@@ -62,26 +63,7 @@ func (r *runtimeFlags) openStore(opts *search.Options) (func() error, error) {
 		fmt.Fprintf(os.Stderr, "calculon: store %s: %d rows (%d stale, recovered from %d truncated bytes)\n",
 			r.store, s.Rows, s.Stale, s.RecoveredBytes)
 	}
-	opts.Cache = st
-	return st.Close, nil
-}
-
-// openServingStore is openStore for the serving engine: the same JSONL file
-// serves both kinds of verdict, and the serving search gets the store's
-// serving.Cache view.
-func (r *runtimeFlags) openServingStore(opts *serving.Options) (func() error, error) {
-	if r.store == "" {
-		return func() error { return nil }, nil
-	}
-	st, err := resultstore.Open(r.store)
-	if err != nil {
-		return nil, err
-	}
-	if s := st.Stats(); s.Stale > 0 || s.RecoveredBytes > 0 {
-		fmt.Fprintf(os.Stderr, "calculon: store %s: %d rows (%d stale, recovered from %d truncated bytes)\n",
-			r.store, s.Rows, s.Stale, s.RecoveredBytes)
-	}
-	opts.Cache = st.ServingCache()
+	wire(st)
 	return st.Close, nil
 }
 
@@ -131,19 +113,6 @@ func (r *runtimeFlags) apply(ctx context.Context) (context.Context, func(), erro
 // a shared Progress for partial-result reporting, a pre-counted total for
 // ETAs, and — when -progress is set — a stderr ticker.
 func (r *runtimeFlags) attachProgress(opts *search.Options, prog *search.Progress) {
-	opts.Progress = prog
-	opts.EstimateTotal = true
-	opts.Workers = r.workers
-	if r.progress > 0 {
-		opts.ProgressInterval = r.progress
-		opts.OnProgress = func(s search.ProgressSnapshot) {
-			fmt.Fprintf(os.Stderr, "calculon: %s\n", s)
-		}
-	}
-}
-
-// attachServingProgress mirrors attachProgress for serving.Options.
-func (r *runtimeFlags) attachServingProgress(opts *serving.Options, prog *search.Progress) {
 	opts.Progress = prog
 	opts.EstimateTotal = true
 	opts.Workers = r.workers

@@ -28,6 +28,7 @@ import (
 	"calculon/internal/model"
 	"calculon/internal/perf"
 	"calculon/internal/report"
+	"calculon/internal/resultstore"
 	"calculon/internal/search"
 	"calculon/internal/system"
 )
@@ -318,7 +319,7 @@ func cmdSearch(ctx context.Context, args []string) (retErr error) {
 		}
 		return writeJSON(*outPath, sres)
 	}
-	closeStore, err := rt.openStore(&opts)
+	closeStore, err := rt.openStore(func(st *resultstore.Store) { opts.Cache = st })
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"calculon/internal/execution"
 	"calculon/internal/report"
+	"calculon/internal/resultstore"
 	"calculon/internal/search"
 	"calculon/internal/system"
 )
@@ -45,7 +46,7 @@ func cmdScaling(ctx context.Context, args []string) (retErr error) {
 			MaxInterleave: *maxIl,
 		},
 	}
-	closeStore, err := rt.openStore(&opts)
+	closeStore, err := rt.openStore(func(st *resultstore.Store) { opts.Cache = st })
 	if err != nil {
 		return err
 	}

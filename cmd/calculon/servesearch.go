@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"calculon/internal/config"
+	"calculon/internal/resultstore"
 	"calculon/internal/search"
 	"calculon/internal/serving"
 	"calculon/internal/system"
@@ -35,7 +36,6 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 	kvOffload := fs.Bool("kv-offload", false, "also enumerate engines with the KV cache in the -mem2 tier")
 	disagg := fs.Bool("disaggregate", false, "also enumerate prefill/decode disaggregated pool splits")
 	prefillSystem := fs.String("prefill-system", "", "system preset for the disaggregated prefill pool (empty = same as -system)")
-	noPreScreen := fs.Bool("no-prescreen", false, "disable the closed-form capacity pre-screen (escape hatch; identical results, slower)")
 	step := fs.Int("step", 0, "right-size: sweep processor budgets in steps of this size (0 = single search)")
 	max := fs.Int("max", 0, "right-size: largest processor budget of the sweep")
 	asJSON := fs.Bool("json", false, "emit the result as canonical JSON instead of the report")
@@ -89,8 +89,19 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 		return err
 	}
 	defer cleanup()
-	opts := serving.Options{DisablePreScreen: *noPreScreen}
-	closeStore, err := rt.openServingStore(&opts)
+	// The serving search takes the same run-control fields the training
+	// searches do.
+	var prog search.Progress
+	var run search.Options
+	rt.attachProgress(&run, &prog)
+	opts := serving.Options{
+		Workers:          run.Workers,
+		Progress:         run.Progress,
+		EstimateTotal:    run.EstimateTotal,
+		OnProgress:       run.OnProgress,
+		ProgressInterval: run.ProgressInterval,
+	}
+	closeStore, err := rt.openStore(func(st *resultstore.Store) { opts.Cache = st.ServingCache() })
 	if err != nil {
 		return err
 	}
@@ -99,8 +110,6 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 			retErr = cerr
 		}
 	}()
-	var prog search.Progress
-	rt.attachServingProgress(&opts, &prog)
 
 	if *step > 0 {
 		sizes := search.Sizes(*step, *max)

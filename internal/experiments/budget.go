@@ -70,8 +70,3 @@ func ddrLabel(ev cost.Evaluation) string {
 	}
 	return ev.Design.DDR.Capacity.String()
 }
-
-// bestFor is a test/render helper around cost.BestByPerf.
-func bestFor(evals []cost.Evaluation, name string) (cost.Evaluation, cost.ModelResult, bool) {
-	return cost.BestByPerf(evals, name)
-}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"calculon/internal/cost"
 )
 
 func TestTable2ValidationAccuracy(t *testing.T) {
@@ -381,7 +383,7 @@ func TestTable3BudgetSmall(t *testing.T) {
 	}
 	// §7's headline: neither the cheapest nor the most expensive design
 	// wins; some secondary-memory design is the top 1T performer.
-	_, best, ok := bestFor(evals, "megatron-1T")
+	_, best, ok := cost.BestByPerf(evals, "megatron-1T")
 	if !ok {
 		t.Fatal("no design can train 1T")
 	}

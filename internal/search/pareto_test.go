@@ -19,6 +19,20 @@ func resultTM(t, mem float64) perf.Result {
 	return r
 }
 
+// paretoFront runs the search's own front compaction over results, with
+// input order as the enumeration sequence.
+func paretoFront(results []perf.Result) []perf.Result {
+	cands := make([]scored, len(results))
+	for i, r := range results {
+		cands[i] = scored{i, r}
+	}
+	var front []perf.Result
+	for _, s := range compactParetoScored(cands) {
+		front = append(front, s.res)
+	}
+	return front
+}
+
 func TestParetoFrontBasics(t *testing.T) {
 	in := []perf.Result{
 		resultTM(10, 100), // dominated by (10,50)? no—same time more mem: dominated
@@ -27,7 +41,7 @@ func TestParetoFrontBasics(t *testing.T) {
 		resultTM(30, 45), // dominated by (20,40)
 		resultTM(40, 10),
 	}
-	front := ParetoFront(in)
+	front := paretoFront(in)
 	if len(front) != 3 {
 		t.Fatalf("front size %d, want 3: %+v", len(front), front)
 	}
@@ -37,7 +51,7 @@ func TestParetoFrontBasics(t *testing.T) {
 	if front[2].BatchTime != 40 || front[2].Mem1.Total() != 10 {
 		t.Errorf("front[2] = %v/%v", front[2].BatchTime, front[2].Mem1.Total())
 	}
-	if ParetoFront(nil) != nil {
+	if paretoFront(nil) != nil {
 		t.Error("empty input must give empty front")
 	}
 }
@@ -52,7 +66,7 @@ func TestParetoFrontProperty(t *testing.T) {
 		for i := 0; i+1 < len(raw); i += 2 {
 			in = append(in, resultTM(float64(raw[i]%100)+1, float64(raw[i+1]%100)+1))
 		}
-		front := ParetoFront(in)
+		front := paretoFront(in)
 		if len(front) == 0 {
 			return false
 		}

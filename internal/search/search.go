@@ -203,6 +203,10 @@ func Execution(ctx context.Context, m model.LLM, sys system.System, opts Options
 	if prog == nil && opts.OnProgress != nil {
 		prog = &Progress{}
 	}
+	if prog != nil {
+		prog.MarkStart()
+	}
+	defer prog.Watch(ctx, opts.OnProgress, opts.ProgressInterval)()
 
 	// The store is consulted here — options normalized, nothing evaluated
 	// yet — so every spelling of the same search maps to one cache identity.
@@ -213,30 +217,16 @@ func Execution(ctx context.Context, m model.LLM, sys system.System, opts Options
 	if useStore {
 		if res, ok := opts.Cache.Lookup(m, sys, opts); ok {
 			if prog != nil {
-				prog.markStart()
-				prog.add(progressDelta{storeHits: 1})
-			}
-			if opts.OnProgress != nil {
-				opts.OnProgress(prog.Snapshot())
+				prog.AddCounts(Counts{StoreHits: 1})
 			}
 			return res, nil
 		}
 	}
-	if prog != nil {
-		prog.markStart()
-		if opts.EstimateTotal {
-			// The space size is closed-form over the (tp,pp,dp) lattice —
-			// divisor arithmetic, no enumeration pass — and buys the ETA in
-			// snapshots.
-			prog.AddTotal(int64(opts.Enum.SpaceSize(m)))
-		}
-	}
-	if opts.OnProgress != nil {
-		stopTicker := startProgressTicker(prog, opts.OnProgress, opts.ProgressInterval)
-		defer func() {
-			stopTicker()
-			opts.OnProgress(prog.Snapshot())
-		}()
+	if prog != nil && opts.EstimateTotal {
+		// The space size is closed-form over the (tp,pp,dp) lattice —
+		// divisor arithmetic, no enumeration pass — and buys the ETA in
+		// snapshots.
+		prog.AddTotal(int64(opts.Enum.SpaceSize(m)))
 	}
 
 	merged, subtreePruned, err := executionScored(ctx, m, sys, opts, prog, opts.Enum.Triples(m), 0)
@@ -343,11 +333,11 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 				}
 				chunkPool.Put(chunk)
 				if prog != nil {
-					prog.add(progressDelta{
-						evaluated:   int64(ws.evaluated - evalBefore),
-						feasible:    int64(ws.feasible - feasBefore),
-						prescreened: int64(ws.prescreened - preBefore),
-						cacheHits:   int64(ws.cacheHits - hitBefore),
+					prog.AddCounts(Counts{
+						Evaluated:   int64(ws.evaluated - evalBefore),
+						Feasible:    int64(ws.feasible - feasBefore),
+						PreScreened: int64(ws.prescreened - preBefore),
+						CacheHits:   int64(ws.cacheHits - hitBefore),
 					})
 				}
 			}
@@ -381,10 +371,10 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 				seq += leaves
 				subtreePruned += leaves
 				if prog != nil {
-					prog.add(progressDelta{
-						evaluated:     int64(leaves),
-						prescreened:   int64(leaves),
-						subtreePruned: int64(leaves),
+					prog.AddCounts(Counts{
+						Evaluated:     int64(leaves),
+						PreScreened:   int64(leaves),
+						SubtreePruned: int64(leaves),
 					})
 				}
 				continue
@@ -448,34 +438,6 @@ func resultFrom(merged workerState, subtreePruned int, opts Options) Result {
 		}
 	}
 	return out
-}
-
-// startProgressTicker runs cb about every interval until the returned stop
-// function is called; stop blocks until the ticker goroutine has exited, so
-// callers never leak it and never race a final synchronous callback.
-func startProgressTicker(p *Progress, cb func(ProgressSnapshot), interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				cb(p.Snapshot())
-			case <-quit:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(quit)
-		<-done
-	}
 }
 
 // workerState accumulates per-goroutine results for a deterministic merge.
@@ -610,23 +572,8 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 		if opts.Progress == nil {
 			opts.Progress = &Progress{}
 		}
-		opts.Progress.markStart()
-		stopTicker := startProgressTicker(opts.Progress, opts.OnProgress, opts.ProgressInterval)
-		defer func() {
-			stopTicker()
-			opts.OnProgress(opts.Progress.Snapshot())
-		}()
+		defer opts.Progress.Watch(ctx, opts.OnProgress, opts.ProgressInterval)()
 	}
-	budget := opts.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	concurrent := len(sizes)
-	if concurrent > budget {
-		concurrent = budget
-	}
-	concurrent = maxInt(1, concurrent)
-	perSize := maxInt(1, budget/concurrent)
 	var group *perf.RunnerGroup
 	if len(sizes) > 0 && !opts.DisableMemo {
 		// Sharing is best-effort: a sysAt that varies memo-relevant inputs
@@ -634,14 +581,62 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 		// to a private memo.
 		group, _ = perf.NewRunnerGroup(m, sysAt(sizes[0]))
 	}
-	points := make([]ScalingPoint, len(sizes))
+	return Sweep(ctx, len(sizes), opts.Workers, func(i, workers int) (ScalingPoint, error) {
+		n := sizes[i]
+		o := opts
+		o.Enum.Procs = n
+		o.Workers = workers
+		// The ticker belongs to the sweep's caller, not each size.
+		o.OnProgress = nil
+		sys := sysAt(n)
+		if group != nil {
+			if r, err := group.RunnerFor(sys); err == nil {
+				if o.DisablePreScreen {
+					r.DisablePreScreen()
+				}
+				if o.DisableDelta {
+					r.DisableDelta()
+				}
+				o.sharedRunner = r
+			}
+		}
+		res, err := Execution(ctx, m, sys, o)
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return ScalingPoint{}, nil
+		}
+		if err != nil {
+			return ScalingPoint{}, fmt.Errorf("size %d: %w", n, err)
+		}
+		return ScalingPoint{Procs: n, Best: res.Best, Feasible: res.Feasible, Found: res.Found()}, nil
+	})
+}
+
+// Sweep runs call once for each index in [0, n) under one worker budget
+// (budget ≤ 0 means GOMAXPROCS): min(n, budget) calls run at a time, each
+// handed budget/min(n, budget) workers, so a single call gets the whole
+// pool and a wide sweep never oversubscribes it. SystemSize and the serving
+// right-sizing sweep share it.
+//
+// It returns the calls' values in index order. The first error a call
+// returns wins, and the values are then dropped; a call that stopped only
+// because ctx was cancelled reports a nil error, so cancellation never
+// masquerades as a failure. Calls still waiting for a slot when ctx is
+// cancelled never start, and a cancelled sweep returns the values computed
+// so far together with ctx.Err().
+func Sweep[T any](ctx context.Context, n, budget int, call func(i, workers int) (T, error)) ([]T, error) {
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	concurrent := max(1, min(n, budget))
+	workers := max(1, budget/concurrent)
+	out := make([]T, n)
 	var firstErr error
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, concurrent)
-	for i, n := range sizes {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i, n int) {
+		go func(i int) {
 			defer wg.Done()
 			select {
 			case sem <- struct{}{}:
@@ -649,43 +644,23 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 				return
 			}
 			defer func() { <-sem }()
-			o := opts
-			o.Enum.Procs = n
-			o.Workers = perSize
-			// The ticker belongs to the sweep's caller, not each size.
-			o.OnProgress = nil
-			sys := sysAt(n)
-			if group != nil {
-				if r, err := group.RunnerFor(sys); err == nil {
-					if o.DisablePreScreen {
-						r.DisablePreScreen()
-					}
-					if o.DisableDelta {
-						r.DisableDelta()
-					}
-					o.sharedRunner = r
-				}
-			}
-			res, err := Execution(ctx, m, sys, o)
+			v, err := call(i, workers)
 			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return
-				}
 				mu.Lock()
 				if firstErr == nil {
-					firstErr = fmt.Errorf("size %d: %w", n, err)
+					firstErr = err
 				}
 				mu.Unlock()
 				return
 			}
-			points[i] = ScalingPoint{Procs: n, Best: res.Best, Feasible: res.Feasible, Found: res.Found()}
-		}(i, n)
+			out[i] = v
+		}(i)
 	}
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return points, ctx.Err()
+	return out, ctx.Err()
 }
 
 // Sizes returns the multiples of step in [step, max], the x-axis of the
@@ -696,11 +671,4 @@ func Sizes(step, max int) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

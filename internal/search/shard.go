@@ -141,7 +141,7 @@ func ExecutionShard(ctx context.Context, m model.LLM, sys system.System, opts Op
 		prog = &Progress{}
 	}
 	if prog != nil {
-		prog.markStart()
+		prog.MarkStart()
 		if opts.EstimateTotal {
 			total := 0
 			for _, tpd := range triples[lo:hi] {
@@ -150,13 +150,7 @@ func ExecutionShard(ctx context.Context, m model.LLM, sys system.System, opts Op
 			prog.AddTotal(int64(total))
 		}
 	}
-	if opts.OnProgress != nil {
-		stopTicker := startProgressTicker(prog, opts.OnProgress, opts.ProgressInterval)
-		defer func() {
-			stopTicker()
-			opts.OnProgress(prog.Snapshot())
-		}()
-	}
+	defer prog.Watch(ctx, opts.OnProgress, opts.ProgressInterval)()
 
 	merged, subtreePruned, err := executionScored(ctx, m, sys, opts, prog, triples[lo:hi], seqBase)
 	if err != nil {

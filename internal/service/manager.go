@@ -9,7 +9,6 @@ import (
 
 	"calculon/internal/resultstore"
 	"calculon/internal/search"
-	"calculon/internal/serving"
 )
 
 // ErrDraining reports a submit against a daemon that is shutting down.
@@ -213,34 +212,7 @@ func (m *Manager) runJob(job *Job, workers int, release func()) {
 		ctx, cancelTimeout = context.WithTimeout(ctx, job.prep.timeout)
 		defer cancelTimeout()
 	}
-	var (
-		res  *search.Result
-		sres *serving.Result
-		err  error
-	)
-	if job.prep.servingSpec != nil {
-		sopts := job.prep.servingOpts
-		sopts.Workers = workers
-		sopts.Progress = job.prog
-		if m.store != nil {
-			sopts.Cache = m.store.ServingCache()
-		}
-		var r serving.Result
-		r, err = serving.Search(ctx, *job.prep.servingSpec, sopts)
-		sres = &r
-	} else {
-		opts := job.prep.opts
-		opts.Workers = workers
-		opts.Progress = job.prog
-		if m.store != nil {
-			// A typed-nil *Store behind the interface would defeat the nil check
-			// inside Execution, hence the explicit guard.
-			opts.Cache = m.store
-		}
-		var r search.Result
-		r, err = search.Execution(ctx, job.prep.m, job.prep.sys, opts)
-		res = &r
-	}
+	res, err := job.prep.run(ctx, workers, job.prog, m.store)
 	state := StateDone
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -248,7 +220,7 @@ func (m *Manager) runJob(job *Job, workers int, release func()) {
 	case err != nil:
 		state = StateFailed
 	}
-	if job.finish(state, res, sres, err) {
+	if job.finish(state, &res, err) {
 		m.metrics.running.Add(-1)
 		switch state {
 		case StateDone:

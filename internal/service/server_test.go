@@ -219,6 +219,8 @@ func TestBadSpecRejectedWith400(t *testing.T) {
 		`{"model":{"preset":"no-such-model"},"system":{"preset":"a100-80g","procs":8}}`,
 		`{"model":{"preset":"gpt3-13B"},"system":{"preset":"a100-80g","procs":8},"search":{"features":"warp-speed"}}`,
 		`{"model":{"preset":"gpt3-13B"},"system":{"preset":"a100-80g","procs":8},"search":{"top_k":-1}}`,
+		`{"model":{"preset":"gpt3-13B"},"system":{"preset":"a100-80g","procs":8},"search":{"topk":5}}`,
+		`{"model":{"preset":"gpt3-13B"},"system":{"preset":"a100-80g","procs":16},"serving":{"workload":{"mix":[{"prompt_len":512,"gen_len":128,"weight":1}],"slo":{"ttft_seconds":30,"tpot_seconds":1}},"space":{"procs":16},"disable_pre_screen":true}}`,
 	} {
 		rec := do(t, s, "POST", "/v1/jobs", body, nil)
 		if rec.Code != http.StatusBadRequest {

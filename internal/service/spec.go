@@ -12,15 +12,17 @@
 package service
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"calculon/internal/config"
 	"calculon/internal/execution"
-	"calculon/internal/model"
+	"calculon/internal/resultstore"
 	"calculon/internal/search"
 	"calculon/internal/serving"
-	"calculon/internal/system"
 	"calculon/internal/tco"
 )
 
@@ -61,9 +63,6 @@ type ServingJobSpec struct {
 	PrefillSystem *config.SystemRef `json:"prefill_system,omitempty"`
 	// Assumptions price the deployments; absent means tco.DefaultAssumptions.
 	Assumptions *tco.Assumptions `json:"assumptions,omitempty"`
-	// DisablePreScreen turns off the closed-form capacity pre-screen
-	// (identical results, slower; for A/B measurement).
-	DisablePreScreen bool `json:"disable_pre_screen,omitempty"`
 }
 
 // JobSpec is the body of POST /v1/jobs: the same model/system references the
@@ -77,31 +76,41 @@ type JobSpec struct {
 	Serving *ServingJobSpec  `json:"serving,omitempty"`
 }
 
-// prepared is a resolved, validated job spec ready to run. Exactly one of
-// the two engines is armed: servingSpec nil means a training search.
-type prepared struct {
-	m       model.LLM
-	sys     system.System
-	opts    search.Options
-	timeout time.Duration
+// decodeJobSpec reads one JSON job spec. Unknown fields are an error: a
+// misspelled option would otherwise be dropped silently and the daemon would
+// run a different search from the one the client asked for.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
 
-	servingSpec *serving.Spec
-	servingOpts serving.Options
+// prepared is a resolved, validated job spec ready to run.
+type prepared struct {
+	// run runs the resolved search on the job's worker share, flushing
+	// counters into prog and consulting store when it is non-nil. It returns
+	// the job's wire result, which keeps the partial counters when the
+	// search fails or is cancelled; the caller fills in the lifecycle fields.
+	run     func(ctx context.Context, workers int, prog *search.Progress, store *resultstore.Store) (JobResult, error)
+	timeout time.Duration
 }
 
 // prepare resolves the references and validates everything client-supplied,
 // so a bad spec is rejected at submit time (400) rather than failing the job
 // after it queued.
 func (s JobSpec) prepare() (prepared, error) {
-	var p prepared
-	var err error
 	if s.Serving != nil {
 		return s.prepareServing()
 	}
-	if p.m, err = s.Model.Resolve(); err != nil {
+	var p prepared
+	m, err := s.Model.Resolve()
+	if err != nil {
 		return p, err
 	}
-	if p.sys, err = s.System.Resolve(); err != nil {
+	sys, err := s.System.Resolve()
+	if err != nil {
 		return p, err
 	}
 	features := execution.FeatureSet(s.Search.Features)
@@ -124,7 +133,7 @@ func (s JobSpec) prepare() (prepared, error) {
 	case topK == 0:
 		topK = 1
 	}
-	p.opts = search.Options{
+	opts := search.Options{
 		Enum: execution.EnumOptions{
 			Features:      features,
 			MaxInterleave: s.Search.MaxInterleave,
@@ -133,6 +142,31 @@ func (s JobSpec) prepare() (prepared, error) {
 		Pareto:        s.Search.Pareto,
 		EstimateTotal: true,
 		DisableStore:  s.Search.DisableStore,
+	}
+	p.run = func(ctx context.Context, workers int, prog *search.Progress, store *resultstore.Store) (JobResult, error) {
+		opts := opts
+		opts.Workers = workers
+		opts.Progress = prog
+		if store != nil {
+			// A typed-nil *Store behind the interface would defeat the nil
+			// check inside Execution, hence the explicit guard.
+			opts.Cache = store
+		}
+		res, err := search.Execution(ctx, m, sys, opts)
+		out := JobResult{
+			Evaluated:     res.Evaluated,
+			Feasible:      res.Feasible,
+			PreScreened:   res.PreScreened,
+			SubtreePruned: res.SubtreePruned,
+			CacheHits:     res.CacheHits,
+			Found:         res.Found(),
+		}
+		if res.Found() {
+			out.Best = &res.Best
+			out.Top = res.Top
+			out.Pareto = res.Pareto
+		}
+		return out, err
 	}
 	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
 	return p, nil
@@ -161,11 +195,25 @@ func (s JobSpec) prepareServing() (prepared, error) {
 	if err != nil {
 		return p, err
 	}
-	p.servingSpec = &spec
-	p.servingOpts = serving.Options{
-		EstimateTotal:    true,
-		DisablePreScreen: s.Serving.DisablePreScreen,
-		DisableStore:     s.Search.DisableStore,
+	opts := serving.Options{
+		EstimateTotal: true,
+		DisableStore:  s.Search.DisableStore,
+	}
+	p.run = func(ctx context.Context, workers int, prog *search.Progress, store *resultstore.Store) (JobResult, error) {
+		opts := opts
+		opts.Workers = workers
+		opts.Progress = prog
+		if store != nil {
+			opts.Cache = store.ServingCache()
+		}
+		res, err := serving.Search(ctx, spec, opts)
+		return JobResult{
+			Evaluated:   res.Evaluated,
+			Feasible:    res.Feasible,
+			PreScreened: res.PreScreened,
+			Found:       res.Best != nil,
+			Serving:     &res,
+		}, err
 	}
 	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
 	return p, nil

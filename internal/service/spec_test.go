@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,8 +18,8 @@ func validSpec() JobSpec {
 }
 
 // TestShippedJobSpecsPrepare keeps every example under configs/jobs/
-// submittable: each file must decode into a JobSpec and survive the same
-// prepare() the daemon runs at POST /v1/jobs time.
+// submittable: each file must pass the same decode and prepare() the daemon
+// runs at POST /v1/jobs time.
 func TestShippedJobSpecsPrepare(t *testing.T) {
 	dir := filepath.Join("..", "..", "configs", "jobs")
 	entries, err := os.ReadDir(dir)
@@ -31,12 +30,13 @@ func TestShippedJobSpecsPrepare(t *testing.T) {
 		t.Fatalf("no example job specs in %s", dir)
 	}
 	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		f, err := os.Open(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var spec JobSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
+		spec, err := decodeJobSpec(f)
+		f.Close()
+		if err != nil {
 			t.Errorf("%s: decode: %v", e.Name(), err)
 			continue
 		}

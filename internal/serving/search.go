@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"calculon/internal/comm"
 	"calculon/internal/inference"
@@ -45,6 +44,10 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	if prog == nil && opts.OnProgress != nil {
 		prog = &search.Progress{}
 	}
+	if prog != nil {
+		prog.MarkStart()
+	}
+	defer prog.Watch(ctx, opts.OnProgress, opts.ProgressInterval)()
 
 	// The store is consulted before anything is evaluated, mirroring
 	// search.Execution: a hit returns the stored verdict whole and leaves
@@ -53,29 +56,15 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	if useStore {
 		if res, ok := opts.Cache.Lookup(spec, opts); ok {
 			if prog != nil {
-				prog.MarkStart()
 				prog.AddCounts(search.Counts{StoreHits: 1})
-			}
-			if opts.OnProgress != nil {
-				opts.OnProgress(prog.Snapshot())
 			}
 			return res, nil
 		}
 	}
 
 	cfgs := enumerate(spec.Model, spec.Space)
-	if prog != nil {
-		prog.MarkStart()
-		if opts.EstimateTotal {
-			prog.AddTotal(int64(len(cfgs)))
-		}
-	}
-	if opts.OnProgress != nil {
-		stop := startTicker(prog, opts.OnProgress, opts.ProgressInterval)
-		defer func() {
-			stop()
-			opts.OnProgress(prog.Snapshot())
-		}()
+	if prog != nil && opts.EstimateTotal {
+		prog.AddTotal(int64(len(cfgs)))
 	}
 
 	pbar := spec.Workload.MeanPromptLen()
@@ -377,10 +366,9 @@ type SizeResult struct {
 }
 
 // Sweep is the serving right-sizing sweep: one Search per processor budget,
-// sharing the worker budget the way search.SystemSize does — min(sizes,
-// budget) sweeps in flight, each with its proportional worker share, so the
-// aggregate never exceeds the budget. Each point is itself deterministic,
-// so the sweep is too.
+// scheduled by search.Sweep under the worker budget exactly as
+// search.SystemSize schedules its sizes, so the aggregate never exceeds the
+// budget. Each point is itself deterministic, so the sweep is too.
 func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -389,94 +377,19 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 		if opts.Progress == nil {
 			opts.Progress = &search.Progress{}
 		}
-		opts.Progress.MarkStart()
-		stop := startTicker(opts.Progress, opts.OnProgress, opts.ProgressInterval)
-		defer func() {
-			stop()
-			opts.OnProgress(opts.Progress.Snapshot())
-		}()
+		defer opts.Progress.Watch(ctx, opts.OnProgress, opts.ProgressInterval)()
 	}
-	budget := opts.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	concurrent := len(sizes)
-	if concurrent > budget {
-		concurrent = budget
-	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	perSize := budget / concurrent
-	if perSize < 1 {
-		perSize = 1
-	}
-	out := make([]SizeResult, len(sizes))
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, concurrent)
-	for i, n := range sizes {
-		wg.Add(1)
-		go func(i, n int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-sem }()
-			o := opts
-			o.Workers = perSize
-			// The ticker belongs to the sweep's caller, not each size.
-			o.OnProgress = nil
-			sp := spec
-			sp.Space.Procs = n
-			res, err := Search(ctx, sp, o)
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			out[i] = SizeResult{Procs: n, Result: res}
-		}(i, n)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, ctx.Err()
-}
-
-// startTicker runs cb about every interval until the returned stop function
-// is called; stop blocks until the ticker goroutine has exited.
-func startTicker(p *search.Progress, cb func(search.ProgressSnapshot), interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				cb(p.Snapshot())
-			case <-quit:
-				return
-			}
+	return search.Sweep(ctx, len(sizes), opts.Workers, func(i, workers int) (SizeResult, error) {
+		o := opts
+		o.Workers = workers
+		// The ticker belongs to the sweep's caller, not each size.
+		o.OnProgress = nil
+		sp := spec
+		sp.Space.Procs = sizes[i]
+		res, err := Search(ctx, sp, o)
+		if err != nil && ctx.Err() != nil {
+			return SizeResult{}, nil
 		}
-	}()
-	return func() {
-		close(quit)
-		<-done
-	}
+		return SizeResult{Procs: sizes[i], Result: res}, err
+	})
 }
