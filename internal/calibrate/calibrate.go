@@ -42,12 +42,11 @@ var anchors = []anchor{
 // multiplied by the factor (clamped to 1.0 — nothing exceeds peak).
 func ScaledSystem(procs int, factor float64) system.System {
 	s := system.A100(procs)
-	curve := make(system.EfficiencyCurve, len(s.Compute.MatrixEff))
-	for i, p := range s.Compute.MatrixEff {
-		p.Eff = math.Min(1, p.Eff*factor)
-		curve[i] = p
+	pts := s.Compute.MatrixEff.Points()
+	for i := range pts {
+		pts[i].Eff = math.Min(1, pts[i].Eff*factor)
 	}
-	s.Compute.MatrixEff = curve
+	s.Compute.MatrixEff = system.NewEfficiencyCurve(pts...)
 	return s
 }
 

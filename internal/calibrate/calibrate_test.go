@@ -46,7 +46,7 @@ func TestErrorGrowsAwayFromOptimum(t *testing.T) {
 
 func TestScaledSystemClampsAtPeak(t *testing.T) {
 	s := ScaledSystem(8, 100)
-	for _, p := range s.Compute.MatrixEff {
+	for _, p := range s.Compute.MatrixEff.Points() {
 		if p.Eff > 1 {
 			t.Fatalf("efficiency above peak: %+v", p)
 		}

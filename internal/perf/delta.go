@@ -94,7 +94,7 @@ type deltaState struct {
 
 	screenValid bool
 	screenPrev  execution.Strategy
-	screenErr   error
+	screenErr   error // the verdict, already wrapped as infeasible
 
 	// profCache is a chain-local mirror of the Runner's shared profile memo:
 	// a plain map with a concrete key type, so repeat lookups on this chain
@@ -170,7 +170,7 @@ func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) 
 // paths are bit-identical by construction (and by the equivalence tests).
 // The result lands in *out, which is zeroed on every error path.
 func (r *Runner) runDelta(d *deltaState, st execution.Strategy, out *Result) (RunInfo, error) {
-	m, sys := r.m, r.sys
+	m, sys := r.m, &r.sys
 	st = st.Normalize()
 	if err := st.Validate(m); err != nil {
 		*out = Result{}
@@ -179,19 +179,20 @@ func (r *Runner) runDelta(d *deltaState, st execution.Strategy, out *Result) (Ru
 	if r.screen != nil && !r.noPreScreen {
 		// The pre-screen verdict depends only on screenMask fields, so a
 		// diff outside the mask reuses the previous verdict (same error
-		// value, same nil). The screen chain is tracked separately from the
-		// eval chain: screened-and-rejected strategies never reach the eval
-		// stages, so d.prev would be the wrong diff base.
-		var err error
-		if d.screenValid && !execution.DiffMask(d.screenPrev, st).Has(screenMask) {
-			err = d.screenErr
-		} else {
-			err = r.screen.Check(st)
+		// value, same nil), wrapped once when it was computed. The screen
+		// chain is tracked separately from the eval chain: screened-and-
+		// rejected strategies never reach the eval stages, so d.prev would
+		// be the wrong diff base.
+		if !d.screenValid || execution.DiffMask(d.screenPrev, st).Has(screenMask) {
+			d.screenErr = nil
+			if err := r.screen.Check(st); err != nil {
+				d.screenErr = infeasible("%v", err)
+			}
 		}
-		d.screenValid, d.screenPrev, d.screenErr = true, st, err
-		if err != nil {
+		d.screenValid, d.screenPrev = true, st
+		if d.screenErr != nil {
 			*out = Result{}
-			return RunInfo{PreScreened: true}, infeasible("%v", err)
+			return RunInfo{PreScreened: true}, d.screenErr
 		}
 	} else {
 		if st.Procs() > sys.Procs {
@@ -208,7 +209,7 @@ func (r *Runner) runDelta(d *deltaState, st execution.Strategy, out *Result) (Ru
 	if d.valid {
 		mask = execution.DiffMask(d.prev, st)
 	} else {
-		d.e.m, d.e.sys = m, sys
+		d.e.m, d.e.sys = m, *sys
 	}
 	e := &d.e
 	e.st = st
@@ -279,11 +280,11 @@ func (r *Runner) runDelta(d *deltaState, st execution.Strategy, out *Result) (Ru
 	mem1, mem2 := d.mem1, d.mem2
 	if mem1.Total() > sys.Mem1.Capacity {
 		*out = Result{}
-		return info, infeasible("mem1 needs %v of %v", mem1.Total(), sys.Mem1.Capacity)
+		return info, &memError{1, mem1.Total(), sys.Mem1.Capacity}
 	}
 	if mem2.Total() > sys.Mem2.Capacity {
 		*out = Result{}
-		return info, infeasible("mem2 needs %v of %v", mem2.Total(), sys.Mem2.Capacity)
+		return info, &memError{2, mem2.Total(), sys.Mem2.Capacity}
 	}
 
 	t := e.assemble()

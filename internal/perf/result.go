@@ -41,6 +41,21 @@ func (e *infeasibleError) Error() string {
 
 func (e *infeasibleError) Unwrap() error { return ErrInfeasible }
 
+// memError is the memory-overflow verdict: tier memN needs more bytes than
+// it has. It keeps the operands as typed fields so the verdict costs one
+// allocation — no argument slice, no boxed units.Bytes — and formats them
+// only when Error() is called.
+type memError struct {
+	tier       int
+	need, have units.Bytes
+}
+
+func (e *memError) Error() string {
+	return fmt.Sprintf("%v: mem%d needs %v of %v", ErrInfeasible, e.tier, e.need, e.have)
+}
+
+func (e *memError) Unwrap() error { return ErrInfeasible }
+
 // TimeBreakdown reports where the batch time went (all values are per batch
 // on the critical path; the Exposed entries are the blocking portions of the
 // corresponding communication totals).

@@ -248,10 +248,10 @@ func (r *Runner) run(st execution.Strategy) (Result, RunInfo, error) {
 
 	mem1, mem2 := e.memory()
 	if mem1.Total() > sys.Mem1.Capacity {
-		return Result{}, info, infeasible("mem1 needs %v of %v", mem1.Total(), sys.Mem1.Capacity)
+		return Result{}, info, &memError{1, mem1.Total(), sys.Mem1.Capacity}
 	}
 	if mem2.Total() > sys.Mem2.Capacity {
-		return Result{}, info, infeasible("mem2 needs %v of %v", mem2.Total(), sys.Mem2.Capacity)
+		return Result{}, info, &memError{2, mem2.Total(), sys.Mem2.Capacity}
 	}
 
 	t := e.assemble()

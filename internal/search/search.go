@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -156,12 +157,32 @@ type scored struct {
 }
 
 // better reports whether a should be preferred over b: higher sample rate,
-// with enumeration order as the deterministic tie-break.
-func better(a, b scored) bool {
-	if a.res.SampleRate != b.res.SampleRate {
-		return a.res.SampleRate > b.res.SampleRate
+// with enumeration order as the deterministic tie-break. Sequence numbers
+// are unique, so better is a strict total order and every fold below —
+// per worker, across workers, across shards — ranks the same candidates
+// identically whatever the worker count or split.
+func better(a, b *scored) bool {
+	return ahead(a.res.SampleRate, a.seq, b)
+}
+
+// ahead is better for a candidate not yet copied into a scored: the fold
+// compares through the caller's pointer and copies only what it keeps.
+func ahead(rate float64, seq int, b *scored) bool {
+	if rate != b.res.SampleRate {
+		return rate > b.res.SampleRate
 	}
-	return a.seq < b.seq
+	return seq < b.seq
+}
+
+// cmpScored is better as a slices.SortFunc comparator.
+func cmpScored(a, b scored) int {
+	switch {
+	case better(&a, &b):
+		return -1
+	case better(&b, &a):
+		return 1
+	}
+	return 0
 }
 
 const chunkSize = 256
@@ -407,7 +428,8 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 
 	merged := workerState{topK: opts.TopK, pareto: opts.Pareto}
 	for w := 0; w < workers; w++ {
-		merged.merge(<-results)
+		ws := <-results
+		merged.merge(&ws)
 	}
 	merged.evaluated += subtreePruned
 	merged.prescreened += subtreePruned
@@ -427,15 +449,24 @@ func resultFrom(merged workerState, subtreePruned int, opts Options) Result {
 	}
 	if merged.feasible > 0 {
 		out.Best = merged.best.res
-		sort.Slice(merged.top, func(i, j int) bool { return better(merged.top[i], merged.top[j]) })
-		for _, s := range merged.top {
-			out.Top = append(out.Top, s.res)
-		}
+		out.Top = collect(merged.ranked(), func(s *scored) perf.Result { return s.res })
 		if opts.Pareto {
-			for _, s := range compactParetoScored(merged.front) {
-				out.Pareto = append(out.Pareto, s.res)
-			}
+			out.Pareto = collect(compactParetoScored(merged.front), func(s *scored) perf.Result { return s.res })
 		}
+	}
+	return out
+}
+
+// collect maps candidates into a slice of exactly their length (nil when
+// there are none): finished fronts are retained by the daemon registry and
+// the store index, so they carry no spare capacity.
+func collect[T any](s []scored, f func(*scored) T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	for i := range s {
+		out[i] = f(&s[i])
 	}
 	return out
 }
@@ -449,37 +480,69 @@ type workerState struct {
 	best        scored
 	hasBest     bool
 	topK        int
-	top         []scored
-	rates       []float64
-	pareto      bool
-	front       []scored
+	// top holds at most topK candidates in better() order while a worker
+	// folds; merge concatenates the workers' lists and ranked sorts them.
+	top    []scored
+	rates  []float64
+	pareto bool
+	front  []scored
 }
 
-// add records one feasible result. The result is passed by pointer so the
-// hot loop's single reused Result is copied only into the slices that keep
-// it, not through a parameter frame per call.
+// add records one feasible result. The result is passed by pointer and
+// compared through it — against the best so far and against the K-th
+// entry once top is full — so it is copied only into a slot that keeps
+// it; the losers, nearly every strategy of a large search, cost no copy.
 func (ws *workerState) add(seq int, res *perf.Result, collectRates bool) {
-	s := scored{seq, *res}
 	ws.feasible++
-	if !ws.hasBest || better(s, ws.best) {
-		ws.best = s
+	if !ws.hasBest || ahead(res.SampleRate, seq, &ws.best) {
+		ws.best.seq = seq
+		ws.best.res = *res
 		ws.hasBest = true
 	}
 	if ws.topK > 0 {
-		ws.top = append(ws.top, s)
-		if len(ws.top) > 4*ws.topK {
-			ws.compactTop()
-		}
+		ws.insertTop(seq, res)
 	}
 	if ws.pareto {
-		ws.front = append(ws.front, s)
+		ws.front = append(ws.front, scored{seq, *res})
 		if len(ws.front) > 512 {
 			ws.front = compactParetoScored(ws.front)
 		}
 	}
 	if collectRates {
-		ws.rates = append(ws.rates, s.res.SampleRate)
+		ws.rates = append(ws.rates, res.SampleRate)
 	}
+}
+
+// insertTop keeps top as the best topK candidates seen, in better()
+// order: a candidate that does not beat the current K-th entry of a full
+// list is dropped; otherwise it is inserted in place, evicting the K-th.
+func (ws *workerState) insertTop(seq int, res *perf.Result) {
+	n := len(ws.top)
+	if n == ws.topK {
+		if !ahead(res.SampleRate, seq, &ws.top[n-1]) {
+			return
+		}
+	} else {
+		if ws.top == nil {
+			ws.top = make([]scored, 0, ws.topK)
+		}
+		ws.top = ws.top[:n+1]
+		n++
+	}
+	i := n - 1
+	for i > 0 && ahead(res.SampleRate, seq, &ws.top[i-1]) {
+		i--
+	}
+	copy(ws.top[i+1:n], ws.top[i:n-1])
+	ws.top[i].seq = seq
+	ws.top[i].res = *res
+}
+
+// ranked sorts the merged top-K survivors — at most K per worker or shard —
+// into better() order and returns the best K.
+func (ws *workerState) ranked() []scored {
+	slices.SortFunc(ws.top, cmpScored)
+	return ws.top[:min(len(ws.top), ws.topK)]
 }
 
 // compactParetoScored reduces candidates to the time-vs-memory front with
@@ -512,24 +575,18 @@ func compactParetoScored(cands []scored) []scored {
 	return front
 }
 
-func (ws *workerState) compactTop() {
-	sort.Slice(ws.top, func(i, j int) bool { return better(ws.top[i], ws.top[j]) })
-	ws.top = ws.top[:ws.topK]
-}
-
-func (ws *workerState) merge(o workerState) {
+// merge folds another worker's state into ws. The top lists are only
+// concatenated; ranked orders the K·workers survivors once at the end.
+func (ws *workerState) merge(o *workerState) {
 	ws.evaluated += o.evaluated
 	ws.feasible += o.feasible
 	ws.prescreened += o.prescreened
 	ws.cacheHits += o.cacheHits
-	if o.hasBest && (!ws.hasBest || better(o.best, ws.best)) {
+	if o.hasBest && (!ws.hasBest || better(&o.best, &ws.best)) {
 		ws.best = o.best
 		ws.hasBest = true
 	}
 	ws.top = append(ws.top, o.top...)
-	if ws.topK > 0 && len(ws.top) > ws.topK {
-		ws.compactTop()
-	}
 	if ws.pareto {
 		ws.front = compactParetoScored(append(ws.front, o.front...))
 	}

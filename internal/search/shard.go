@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"calculon/internal/model"
@@ -92,6 +91,8 @@ type ShardResult struct {
 	Front []SeqResult `json:"front,omitempty"`
 }
 
+func seqResult(s *scored) SeqResult { return SeqResult{Seq: s.seq, Result: s.res} }
+
 // shardRange returns the contiguous triple range [lo,hi) shard s covers out
 // of total triples. Ranges tile the sequence exactly; with more shards than
 // triples some ranges are empty.
@@ -169,14 +170,9 @@ func ExecutionShard(ctx context.Context, m model.LLM, sys system.System, opts Op
 	if merged.hasBest {
 		out.Best = &SeqResult{Seq: merged.best.seq, Result: merged.best.res}
 	}
-	sort.Slice(merged.top, func(i, j int) bool { return better(merged.top[i], merged.top[j]) })
-	for _, s := range merged.top {
-		out.Top = append(out.Top, SeqResult{Seq: s.seq, Result: s.res})
-	}
+	out.Top = collect(merged.ranked(), seqResult)
 	if opts.Pareto {
-		for _, s := range compactParetoScored(merged.front) {
-			out.Front = append(out.Front, SeqResult{Seq: s.seq, Result: s.res})
-		}
+		out.Front = collect(compactParetoScored(merged.front), seqResult)
 	}
 	return out, ctx.Err()
 }
@@ -236,7 +232,7 @@ func MergeResults(shards []ShardResult) (Result, error) {
 			ws.front = append(ws.front, scored{f.Seq, f.Result})
 		}
 		subtreePruned += s.SubtreePruned
-		merged.merge(ws)
+		merged.merge(&ws)
 	}
 	return resultFrom(merged, subtreePruned, Options{TopK: merged.topK, Pareto: merged.pareto}), nil
 }

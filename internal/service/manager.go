@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"calculon/internal/resultstore"
@@ -47,7 +47,10 @@ type Manager struct {
 
 	mu   sync.Mutex
 	jobs map[string]*Job
-	seq  int
+	// order holds the registered jobs in submit order, oldest first: the
+	// listing order of Jobs and the eviction order of evictLocked.
+	order []*Job
+	seq   int
 }
 
 // NewManager starts a manager with the given worker budget cut into at most
@@ -90,15 +93,14 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		return nil, ErrDraining
 	}
 	m.mu.Lock()
-	m.seq++
-	job := newJob(fmt.Sprintf("job-%06d", m.seq), prep)
-	job.prog.MirrorTo(m.fleet)
-	m.jobs[job.ID] = job
-	m.evictLocked()
+	job := m.registerLocked(prep)
 	m.mu.Unlock()
 	if err := m.queue.Push(job); err != nil {
 		m.mu.Lock()
 		delete(m.jobs, job.ID)
+		if i := slices.Index(m.order, job); i >= 0 {
+			m.order = slices.Delete(m.order, i, i+1)
+		}
 		m.mu.Unlock()
 		m.metrics.rejected.Add(1)
 		return nil, err
@@ -123,12 +125,7 @@ func (m *Manager) Job(id string) (*Job, bool) {
 func (m *Manager) Jobs() []*Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
+	return slices.Clone(m.order)
 }
 
 // Cancel cancels the job with the given ID, settling the metrics for the
@@ -145,25 +142,43 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 	return j, true
 }
 
+// registerLocked enters a new job into the registry, evicting the oldest
+// terminal jobs past the retention bound. Caller holds mu.
+func (m *Manager) registerLocked(prep prepared) *Job {
+	m.seq++
+	job := newJob(fmt.Sprintf("job-%06d", m.seq), prep)
+	job.prog.MirrorTo(m.fleet)
+	m.jobs[job.ID] = job
+	m.order = append(m.order, job)
+	m.evictLocked()
+	return job
+}
+
 // evictLocked drops the oldest terminal jobs once the registry exceeds the
-// retention bound. Caller holds mu.
+// retention bound, walking the submit order from the front and stopping as
+// soon as the registry is back within it; queued and running jobs are never
+// evicted. Caller holds mu.
 func (m *Manager) evictLocked() {
-	if len(m.jobs) <= maxRetainedJobs {
+	excess := len(m.order) - maxRetainedJobs
+	if excess <= 0 {
 		return
 	}
-	var terminal []*Job
-	for _, j := range m.jobs {
-		if j.State().Terminal() {
-			terminal = append(terminal, j)
-		}
-	}
-	sort.Slice(terminal, func(i, k int) bool { return terminal[i].ID < terminal[k].ID })
-	for _, j := range terminal {
-		if len(m.jobs) <= maxRetainedJobs {
+	kept := 0
+	for i, j := range m.order {
+		if excess == 0 {
+			kept += copy(m.order[kept:], m.order[i:])
 			break
 		}
-		delete(m.jobs, j.ID)
+		if j.State().Terminal() {
+			delete(m.jobs, j.ID)
+			excess--
+			continue
+		}
+		m.order[kept] = j
+		kept++
 	}
+	clear(m.order[kept:])
+	m.order = m.order[:kept]
 }
 
 // schedule is the scheduler goroutine: hold a budget slot, then hand it the

@@ -18,42 +18,42 @@ import (
 //
 // The curves have the standard roofline shape: tiny GEMMs are launch- and
 // memory-bound, multi-TFLOP GEMMs approach peak.
-var a100MatrixEff = EfficiencyCurve{
-	{Size: 1e8, Eff: 0.15},
-	{Size: 1e9, Eff: 0.30},
-	{Size: 1e10, Eff: 0.50},
-	{Size: 1e11, Eff: 0.68},
-	{Size: 1e12, Eff: 0.78},
-	{Size: 1e13, Eff: 0.82},
-}
+var a100MatrixEff = NewEfficiencyCurve(
+	EffPoint{Size: 1e8, Eff: 0.15},
+	EffPoint{Size: 1e9, Eff: 0.30},
+	EffPoint{Size: 1e10, Eff: 0.50},
+	EffPoint{Size: 1e11, Eff: 0.68},
+	EffPoint{Size: 1e12, Eff: 0.78},
+	EffPoint{Size: 1e13, Eff: 0.82},
+)
 
-var a100VectorEff = EfficiencyCurve{
-	{Size: 1e6, Eff: 0.20},
-	{Size: 1e8, Eff: 0.55},
-	{Size: 1e9, Eff: 0.80},
-	{Size: 1e10, Eff: 0.90},
-}
+var a100VectorEff = NewEfficiencyCurve(
+	EffPoint{Size: 1e6, Eff: 0.20},
+	EffPoint{Size: 1e8, Eff: 0.55},
+	EffPoint{Size: 1e9, Eff: 0.80},
+	EffPoint{Size: 1e10, Eff: 0.90},
+)
 
-var hbmEff = EfficiencyCurve{
-	{Size: 1e5, Eff: 0.30},
-	{Size: 1e7, Eff: 0.70},
-	{Size: 1e8, Eff: 0.85},
-	{Size: 1e9, Eff: 0.92},
-}
+var hbmEff = NewEfficiencyCurve(
+	EffPoint{Size: 1e5, Eff: 0.30},
+	EffPoint{Size: 1e7, Eff: 0.70},
+	EffPoint{Size: 1e8, Eff: 0.85},
+	EffPoint{Size: 1e9, Eff: 0.92},
+)
 
-var nvlinkEff = EfficiencyCurve{
-	{Size: 1e5, Eff: 0.25},
-	{Size: 1e6, Eff: 0.55},
-	{Size: 1e7, Eff: 0.75},
-	{Size: 1e8, Eff: 0.85},
-}
+var nvlinkEff = NewEfficiencyCurve(
+	EffPoint{Size: 1e5, Eff: 0.25},
+	EffPoint{Size: 1e6, Eff: 0.55},
+	EffPoint{Size: 1e7, Eff: 0.75},
+	EffPoint{Size: 1e8, Eff: 0.85},
+)
 
-var ibEff = EfficiencyCurve{
-	{Size: 1e5, Eff: 0.35},
-	{Size: 1e6, Eff: 0.65},
-	{Size: 1e7, Eff: 0.85},
-	{Size: 1e8, Eff: 0.92},
-}
+var ibEff = NewEfficiencyCurve(
+	EffPoint{Size: 1e5, Eff: 0.35},
+	EffPoint{Size: 1e6, Eff: 0.65},
+	EffPoint{Size: 1e7, Eff: 0.85},
+	EffPoint{Size: 1e8, Eff: 0.92},
+)
 
 // A100 returns a Selene-like system of the given size: A100-80GiB GPUs
 // (312 TFLOP/s fp16 tensor, 78 TFLOP/s vector, 2 TB/s HBM2e) in NVLink

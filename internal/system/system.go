@@ -9,6 +9,7 @@
 package system
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -27,7 +28,60 @@ type EffPoint struct {
 // linearly in log10(size) and clamping outside the anchored range. An empty
 // curve means "always 100% of peak". This models, e.g., small GEMMs running
 // at a lower fraction of peak than large ones (§2.2, [33]).
-type EfficiencyCurve []EffPoint
+//
+// Every anchor carries the log10 of its size, computed once when the curve
+// is built by NewEfficiencyCurve or decoded from JSON, so At takes one
+// logarithm per call instead of three. The anchor type is unexported, so
+// no other package can assemble a curve without its logarithms; anchors
+// are read-only (a changed curve is a new NewEfficiencyCurve). The JSON
+// form is the plain list of EffPoints. It is encoded by reflection, with
+// no custom marshaler, because resultstore.Key encodes a whole System per
+// lookup and a marshaler would allocate per curve.
+type EfficiencyCurve []effAnchor
+
+type effAnchor struct {
+	effPoint         // Size and Eff, encoded inline
+	logSize  float64 // math.Log10(Size)
+}
+
+// effPoint names the embedded EffPoint with an unexported field name, so
+// no other package can write an anchor literal.
+type effPoint = EffPoint
+
+// NewEfficiencyCurve builds a curve from its anchors, in order. No anchors
+// give the empty (always 100% of peak) curve; a nil list gives a nil curve.
+func NewEfficiencyCurve(pts ...EffPoint) EfficiencyCurve {
+	if pts == nil {
+		return nil
+	}
+	c := make(EfficiencyCurve, len(pts))
+	for i, p := range pts {
+		c[i] = effAnchor{effPoint: p, logSize: math.Log10(p.Size)}
+	}
+	return c
+}
+
+// Points returns a copy of the curve's anchors.
+func (c EfficiencyCurve) Points() []EffPoint {
+	if c == nil {
+		return nil
+	}
+	pts := make([]EffPoint, len(c))
+	for i := range c {
+		pts[i] = c[i].effPoint
+	}
+	return pts
+}
+
+// UnmarshalJSON decodes a list of anchors and computes their logarithms.
+func (c *EfficiencyCurve) UnmarshalJSON(data []byte) error {
+	var pts []EffPoint
+	if err := json.Unmarshal(data, &pts); err != nil {
+		return err
+	}
+	*c = NewEfficiencyCurve(pts...)
+	return nil
+}
 
 // At returns the efficiency for an operation of the given size.
 func (c EfficiencyCurve) At(size float64) float64 {
@@ -44,7 +98,7 @@ func (c EfficiencyCurve) At(size float64) float64 {
 	for i := 1; i < len(c); i++ {
 		if size <= c[i].Size {
 			lo, hi := c[i-1], c[i]
-			f := (math.Log10(size) - math.Log10(lo.Size)) / (math.Log10(hi.Size) - math.Log10(lo.Size))
+			f := (math.Log10(size) - lo.logSize) / (hi.logSize - lo.logSize)
 			return lo.Eff + f*(hi.Eff-lo.Eff)
 		}
 	}

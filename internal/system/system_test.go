@@ -9,7 +9,7 @@ import (
 )
 
 func TestEfficiencyCurveInterpolation(t *testing.T) {
-	c := EfficiencyCurve{{Size: 1e3, Eff: 0.2}, {Size: 1e5, Eff: 0.8}}
+	c := NewEfficiencyCurve(EffPoint{Size: 1e3, Eff: 0.2}, EffPoint{Size: 1e5, Eff: 0.8})
 	if got := c.At(1e2); got != 0.2 {
 		t.Errorf("below range: got %g, want clamp to 0.2", got)
 	}
@@ -48,15 +48,15 @@ func TestEfficiencyCurveMonotoneProperty(t *testing.T) {
 }
 
 func TestEfficiencyCurveValidate(t *testing.T) {
-	bad := []EfficiencyCurve{
+	bad := [][]EffPoint{
 		{{Size: 0, Eff: 0.5}},
 		{{Size: 1, Eff: 0}},
 		{{Size: 1, Eff: 1.5}},
 		{{Size: 10, Eff: 0.5}, {Size: 5, Eff: 0.6}},
 		{{Size: 5, Eff: 0.5}, {Size: 5, Eff: 0.6}},
 	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
+	for i, pts := range bad {
+		if err := NewEfficiencyCurve(pts...).Validate(); err == nil {
 			t.Errorf("curve %d should fail validation", i)
 		}
 	}
@@ -67,7 +67,7 @@ func TestEfficiencyCurveValidate(t *testing.T) {
 
 func TestComputeRates(t *testing.T) {
 	c := Compute{MatrixPeak: 100, VectorPeak: 10,
-		MatrixEff: EfficiencyCurve{{Size: 1, Eff: 0.5}}}
+		MatrixEff: NewEfficiencyCurve(EffPoint{Size: 1, Eff: 0.5})}
 	if got := c.MatrixRate(1e9); got != 50 {
 		t.Errorf("MatrixRate = %v, want 50", got)
 	}
@@ -92,7 +92,7 @@ func TestMemoryAccessTime(t *testing.T) {
 
 func TestMemoryEfficiencyDerates(t *testing.T) {
 	m := Memory{Capacity: 1, Bandwidth: 1000,
-		Efficiency: EfficiencyCurve{{Size: 1, Eff: 0.5}}}
+		Efficiency: NewEfficiencyCurve(EffPoint{Size: 1, Eff: 0.5})}
 	if got := m.EffectiveBandwidth(100); got != 500 {
 		t.Errorf("EffectiveBandwidth = %v, want 500", got)
 	}
