@@ -55,7 +55,7 @@ e2e:
 BENCH_CMDS = \
 	$(GO) test -run '^$$' -bench BenchmarkExecutionSearch -benchtime 100x -count 3 ./internal/search; \
 	$(GO) test -run '^$$' -bench BenchmarkSystemSizeSweep -benchtime 1x ./internal/search; \
-	$(GO) test -run '^$$' -bench BenchmarkTopKFold -benchtime 100x ./internal/search; \
+	$(GO) test -run '^$$' -bench 'BenchmarkTopKFold|BenchmarkParetoFold' -benchtime 100x ./internal/search; \
 	$(GO) test -run '^$$' -bench BenchmarkEfficiencyCurveAt -benchtime 100000x ./internal/system; \
 	$(GO) test -run '^$$' -bench BenchmarkRunner -benchtime 100x ./internal/perf; \
 	$(GO) test -run '^$$' -bench BenchmarkSearchWarmStore -benchtime 100x ./internal/resultstore; \

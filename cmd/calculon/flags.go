@@ -47,8 +47,9 @@ func addRuntime(fs *flag.FlagSet) *runtimeFlags {
 
 // openStore opens the persistent result store named by -store and hands it
 // to wire, which attaches it to the search options (the training search
-// takes the store itself, the serving search its ServingCache view); wire is
-// not called without -store. The returned close function flushes the
+// takes the store itself, the serving search its ServingCache view). Without
+// -store wire is not called, and the options' nil Cache is what bypasses the
+// store. The returned close function flushes the
 // pending batch; its error must reach the user — a verdict that never hit
 // disk is a cache that silently re-pays the walk next run.
 func (r *runtimeFlags) openStore(wire func(*resultstore.Store)) (func() error, error) {
@@ -110,11 +111,11 @@ func (r *runtimeFlags) apply(ctx context.Context) (context.Context, func(), erro
 }
 
 // attachProgress wires the runtime flags' observability into search options:
-// a shared Progress for partial-result reporting, a pre-counted total for
-// ETAs, and — when -progress is set — a stderr ticker.
+// a shared Progress for partial-result reporting (the searches add their
+// space sizes to it for ETAs), and — when -progress is set — a stderr
+// ticker.
 func (r *runtimeFlags) attachProgress(opts *search.Options, prog *search.Progress) {
 	opts.Progress = prog
-	opts.EstimateTotal = true
 	opts.Workers = r.workers
 	if r.progress > 0 {
 		opts.ProgressInterval = r.progress

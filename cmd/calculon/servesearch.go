@@ -97,7 +97,6 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 	opts := serving.Options{
 		Workers:          run.Workers,
 		Progress:         run.Progress,
-		EstimateTotal:    run.EstimateTotal,
 		OnProgress:       run.OnProgress,
 		ProgressInterval: run.ProgressInterval,
 	}

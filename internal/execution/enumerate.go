@@ -158,7 +158,7 @@ func (o EnumOptions) EnumerateTriple(m model.LLM, tpd [3]int, yield func(Strateg
 // and the ETA total exact without materializing pruned subtrees;
 // TestLatticeCountsConsistent pins the equality against the enumerator.
 func (o EnumOptions) TripleLeafCount(m model.LLM, tpd [3]int) int {
-	mbs := len(divisors(m.Batch / tpd[2]))
+	mbs := countDivisors(m.Batch/tpd[2], 0)
 	sched := 0
 	if !o.PinBeneficial {
 		sched++ // the plain GPipe-like schedule
@@ -166,15 +166,30 @@ func (o EnumOptions) TripleLeafCount(m model.LLM, tpd [3]int) int {
 	if tpd[1] == 1 {
 		sched++ // interleaving is meaningless without pipeline parallelism
 	} else {
-		bp := (m.Blocks + tpd[1] - 1) / tpd[1]
-		for _, v := range divisors(bp) {
-			if o.MaxInterleave > 0 && v > o.MaxInterleave {
-				break
-			}
-			sched++
-		}
+		sched += countDivisors((m.Blocks+tpd[1]-1)/tpd[1], o.MaxInterleave)
 	}
 	return mbs * sched * o.togglesPerLeaf()
+}
+
+// countDivisors counts the divisors of n up to limit (0 means no limit)
+// without listing them: searches sum TripleLeafCount over whole spaces.
+func countDivisors(n, limit int) int {
+	if limit <= 0 {
+		limit = n
+	}
+	c := 0
+	for i := 1; i*i <= n; i++ {
+		if n%i != 0 {
+			continue
+		}
+		if i <= limit {
+			c++
+		}
+		if j := n / i; j != i && j <= limit {
+			c++
+		}
+	}
+	return c
 }
 
 // togglesPerLeaf counts the switch combinations forEachToggle emits per
@@ -379,13 +394,18 @@ func (o EnumOptions) forEachToggle(s Strategy, yield func(Strategy) bool) bool {
 }
 
 // SpaceSize counts the strategies Enumerate would generate without invoking
-// a consumer, for reporting search-space sizes as in Fig. 6 and pre-counting
-// ETA totals. It is closed-form — the per-triple leaf counts summed over the
-// lattice — so it costs divisor arithmetic, not an enumeration pass;
+// a consumer, for reporting search-space sizes as in Fig. 6. It is
+// closed-form — the per-triple leaf counts summed over the lattice — so it
+// costs divisor arithmetic, not an enumeration pass;
 // TestLatticeCountsConsistent pins it against the enumerator.
-func (o EnumOptions) SpaceSize(m model.LLM) int {
+func (o EnumOptions) SpaceSize(m model.LLM) int { return o.LeafCount(m, o.Triples(m)) }
+
+// LeafCount is the number of strategies under the given triples, the sum
+// of their TripleLeafCount values: searches that already hold their triples
+// size their space with it.
+func (o EnumOptions) LeafCount(m model.LLM, triples [][3]int) int {
 	total := 0
-	for _, tpd := range o.Triples(m) {
+	for _, tpd := range triples {
 		total += o.TripleLeafCount(m, tpd)
 	}
 	return total

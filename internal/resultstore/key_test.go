@@ -273,7 +273,6 @@ func TestKeyNoCollisions(t *testing.T) {
 	// the rows a single machine wrote.
 	o := normalizedOpts(baseSys)
 	o.Workers = 7
-	o.EstimateTotal = true
 	o.Progress = &search.Progress{}
 	k, err := Key(baseM, baseSys, o)
 	if err != nil {

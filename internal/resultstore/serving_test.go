@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"calculon/internal/model"
+	"calculon/internal/search"
 	"calculon/internal/serving"
 	"calculon/internal/system"
 	"calculon/internal/units"
@@ -89,7 +90,7 @@ func TestServingKeySeparatesSearches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := ServingKey(spec, serving.Options{Workers: 7, EstimateTotal: true})
+	sched, err := ServingKey(spec, serving.Options{Workers: 7, Progress: &search.Progress{}})
 	if err != nil {
 		t.Fatal(err)
 	}

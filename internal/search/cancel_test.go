@@ -48,7 +48,6 @@ func TestExecutionCancelledMidSearch(t *testing.T) {
 	opts := bigOptions()
 	var prog Progress
 	opts.Progress = &prog
-	opts.EstimateTotal = true
 
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -69,7 +68,7 @@ func TestExecutionCancelledMidSearch(t *testing.T) {
 	}
 	snap := prog.Snapshot()
 	if snap.Total == 0 {
-		t.Fatal("EstimateTotal did not populate the total")
+		t.Fatal("the search did not add its space size to the total")
 	}
 	if int64(res.Evaluated) >= snap.Total {
 		t.Fatalf("search ran to completion (%d of %d) despite cancellation", res.Evaluated, snap.Total)
@@ -152,7 +151,6 @@ func TestOnProgressTickerAndFinalSnapshot(t *testing.T) {
 	var calls atomic.Int64
 	var last atomic.Int64
 	opts := bigOptions()
-	opts.EstimateTotal = true
 	opts.ProgressInterval = time.Millisecond
 	opts.OnProgress = func(s ProgressSnapshot) {
 		calls.Add(1)
@@ -184,11 +182,10 @@ func TestDeterministicWithCancellationMachinery(t *testing.T) {
 	}
 	var prog Progress
 	observed, err := Execution(context.Background(), m, sys, Options{
-		Enum:          execution.EnumOptions{Procs: 64, Features: execution.FeatureSeqPar, MaxInterleave: 2},
-		Workers:       8,
-		Progress:      &prog,
-		EstimateTotal: true,
-		OnProgress:    func(ProgressSnapshot) {},
+		Enum:       execution.EnumOptions{Procs: 64, Features: execution.FeatureSeqPar, MaxInterleave: 2},
+		Workers:    8,
+		Progress:   &prog,
+		OnProgress: func(ProgressSnapshot) {},
 	})
 	if err != nil {
 		t.Fatal(err)

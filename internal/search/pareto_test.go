@@ -1,7 +1,10 @@
 package search
 
 import (
+	"cmp"
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,18 +22,162 @@ func resultTM(t, mem float64) perf.Result {
 	return r
 }
 
-// paretoFront runs the search's own front compaction over results, with
-// input order as the enumeration sequence.
+// paretoFront folds results through the search's time-versus-memory
+// instantiation of the shared fold, with input order as the enumeration
+// sequence.
 func paretoFront(results []perf.Result) []perf.Result {
-	cands := make([]scored, len(results))
+	ws := newWorkerState(0, true)
 	for i, r := range results {
-		cands[i] = scored{i, r}
+		ws.front.Push(scored{i, r})
 	}
 	var front []perf.Result
-	for _, s := range compactParetoScored(cands) {
+	for _, s := range ws.front.Front() {
 		front = append(front, s.res)
 	}
 	return front
+}
+
+// bruteFront is the O(n²) reference for a Pareto fold: a point survives
+// when no other point beats it — weakly dominates it and is strictly better
+// on some objective, or equal on all and earlier in sequence. Survivors are
+// listed in the fold's order.
+func bruteFront[T any](pts []T, before func(a, b *T) int, dominates func(a, b *T) bool, seq func(*T) int) []T {
+	var out []T
+	for i := range pts {
+		p := &pts[i]
+		beaten := false
+		for j := range pts {
+			q := &pts[j]
+			if j != i && dominates(q, p) && (!dominates(p, q) || seq(q) < seq(p)) {
+				beaten = true
+				break
+			}
+		}
+		if !beaten {
+			out = append(out, *p)
+		}
+	}
+	slices.SortFunc(out, func(a, b T) int { return before(&a, &b) })
+	return out
+}
+
+// foldRandomly feeds pts to several folds in a random arrival order, takes
+// a front or merges one fold into another at random points, and merges
+// everything into one front at the end — every way the searches split and
+// merge a stream.
+func foldRandomly[T any](rng *rand.Rand, pts []T, newFold func() ParetoFold[T]) []T {
+	folds := make([]ParetoFold[T], 1+rng.Intn(4))
+	for i := range folds {
+		folds[i] = newFold()
+	}
+	for _, i := range rng.Perm(len(pts)) {
+		f := &folds[rng.Intn(len(folds))]
+		f.Push(pts[i])
+		switch rng.Intn(64) {
+		case 0:
+			f.Front()
+		case 1:
+			o := &folds[rng.Intn(len(folds))]
+			if o != f {
+				mergeFold(f, o)
+				*o = newFold()
+			}
+		}
+	}
+	for i := 1; i < len(folds); i++ {
+		mergeFold(&folds[0], &folds[i])
+	}
+	return folds[0].Front()
+}
+
+// mergeFold folds every point of o into f, the way a worker's or a shard's
+// front joins another.
+func mergeFold[T any](f, o *ParetoFold[T]) {
+	for _, p := range o.Front() {
+		f.Push(p)
+	}
+}
+
+// TestParetoFoldMatchesBruteForce is the shared fold's property test on
+// the time-versus-memory instantiation: over random streams with heavy
+// objective ties, any arrival order and any merge points,
+// the front equals the brute-force reference seq for seq, so the lowest seq
+// survives among objective-equal points.
+func TestParetoFoldMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(600)
+		levels := 1 + rng.Intn(12)
+		pts := make([]scored, n)
+		for i := range pts {
+			pts[i] = scored{i, resultTM(float64(1+rng.Intn(levels)), float64(1+rng.Intn(levels)))}
+		}
+		seq := func(s *scored) int { return s.seq }
+		want := bruteFront(pts, timeMemBefore, timeMemDominates, seq)
+		got := foldRandomly(rng, pts, func() ParetoFold[scored] { return newWorkerState(0, true).front })
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: front holds %d points, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].seq != want[i].seq {
+				t.Fatalf("trial %d: front[%d] is seq %d, want %d", trial, i, got[i].seq, want[i].seq)
+			}
+		}
+	}
+}
+
+// BenchmarkParetoFold measures the shared fold on a stream shaped like a
+// search's — mostly dominated points, with objective ties — for the
+// time-versus-memory instantiation and for a three-objective point shaped
+// like a serving deployment. Each op folds the whole stream into a fresh
+// fold and takes its front, so allocs/op is the fold's fixed cost and must
+// not grow with the stream.
+func BenchmarkParetoFold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	b.Run("time-mem", func(b *testing.B) {
+		stream := make([]scored, 4096)
+		for i := range stream {
+			stream[i] = scored{i, resultTM(float64(1+rng.Intn(256)), float64(1+rng.Intn(256)))}
+		}
+		benchFold(b, stream, func() ParetoFold[scored] { return newWorkerState(0, true).front })
+	})
+	b.Run("three-objective", func(b *testing.B) {
+		stream := make([]point3, 4096)
+		for i := range stream {
+			stream[i] = point3{seq: i, cost: float64(1 + rng.Intn(64)), user: float64(1 + rng.Intn(64)), cluster: float64(1 + rng.Intn(64))}
+		}
+		benchFold(b, stream, func() ParetoFold[point3] { return NewParetoFold(point3Before, point3Dominates) })
+	})
+}
+
+func benchFold[T any](b *testing.B, stream []T, newFold func() ParetoFold[T]) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f := newFold()
+		for j := range stream {
+			f.Push(stream[j])
+		}
+		if len(f.Front()) == 0 {
+			b.Fatal("empty front")
+		}
+	}
+	b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+}
+
+// point3 is a three-objective point with the serving frontier's
+// objectives: cost ↓, per-user rate ↑, cluster rate ↑.
+type point3 struct {
+	seq                 int
+	cost, user, cluster float64
+	_                   [10]float64 // the rest of a deployment's payload
+}
+
+func point3Before(a, b *point3) int {
+	return cmp.Or(cmp.Compare(a.cost, b.cost), cmp.Compare(b.user, a.user), cmp.Compare(b.cluster, a.cluster), cmp.Compare(a.seq, b.seq))
+}
+
+func point3Dominates(a, b *point3) bool {
+	return a.cost <= b.cost && a.user >= b.user && a.cluster >= b.cluster
 }
 
 func TestParetoFrontBasics(t *testing.T) {

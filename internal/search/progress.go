@@ -139,9 +139,8 @@ func (p *Progress) Watch(ctx context.Context, cb func(ProgressSnapshot), interva
 	}
 }
 
-// AddTotal grows the expected-strategy total (used for ETA). Searches add
-// their own space size when Options.EstimateTotal is set; callers that know
-// the size in advance may add it themselves instead.
+// AddTotal grows the expected-strategy total (used for ETA). Every search
+// adds the size of its own space to the Progress it runs under.
 func (p *Progress) AddTotal(n int64) {
 	p.total.Add(n)
 	if m := p.mirror.Load(); m != nil {
@@ -192,8 +191,8 @@ type ProgressSnapshot struct {
 	// (Options.Cache) without evaluating anything: the served verdict's own
 	// counters live in the returned Result, not here.
 	StoreHits int64
-	// Total is the expected number of strategies, when known (see
-	// Options.EstimateTotal and Progress.AddTotal); 0 when unknown.
+	// Total is the expected number of strategies, added by each search
+	// the Progress observes (see Progress.AddTotal).
 	Total int64
 	// Elapsed is the wall-clock time since the first attached search began.
 	Elapsed time.Duration

@@ -23,7 +23,7 @@ func TestSweepBudget(t *testing.T) {
 	} {
 		baseline := runtime.NumGoroutine()
 		var inFlight, peak atomic.Int64
-		out, err := Sweep(context.Background(), tc.n, tc.budget, func(i, workers int) (int, error) {
+		out, err := Sweep(context.Background(), tc.n, tc.budget, Observer{}, func(i, workers int, _ *Progress) (int, error) {
 			now := inFlight.Add(1)
 			defer inFlight.Add(-1)
 			for {
@@ -61,7 +61,7 @@ func TestSweepBudget(t *testing.T) {
 func TestSweepFirstErrorWins(t *testing.T) {
 	first, later := errors.New("first"), errors.New("later")
 	var order atomic.Int64
-	out, err := Sweep(context.Background(), 6, 1, func(i, workers int) (int, error) {
+	out, err := Sweep(context.Background(), 6, 1, Observer{}, func(i, workers int, _ *Progress) (int, error) {
 		if order.Add(1) == 1 {
 			return 0, first
 		}
@@ -83,7 +83,7 @@ func TestSweepCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int64
-	out, err := Sweep(ctx, 64, 1, func(i, workers int) (int, error) {
+	out, err := Sweep(ctx, 64, 1, Observer{}, func(i, workers int, _ *Progress) (int, error) {
 		if ran.Add(1) == 1 {
 			cancel()
 		}

@@ -51,6 +51,10 @@ type Manager struct {
 	// listing order of Jobs and the eviction order of evictLocked.
 	order []*Job
 	seq   int
+
+	// pushed, when non-nil, sees each accepted job once the scheduler can
+	// pop it, before Submit returns: a test hook for the submit race.
+	pushed func(*Job)
 }
 
 // NewManager starts a manager with the given worker budget cut into at most
@@ -80,37 +84,43 @@ func (m *Manager) Metrics() *Metrics { return m.metrics }
 // FleetSnapshot is the aggregate strategy-counter view across all jobs.
 func (m *Manager) FleetSnapshot() search.ProgressSnapshot { return m.fleet.Snapshot() }
 
-// Submit validates the spec, registers the job, and queues it. The error
-// distinguishes bad specs (client's fault) from a full queue or a draining
-// daemon (server's state); the HTTP layer maps them to 400/503.
-func (m *Manager) Submit(spec JobSpec) (*Job, error) {
+// Submit validates the spec, registers the job, and queues it, returning
+// its queued status. The status and the gauges are settled under the lock
+// before the push: a free worker may run the job the moment it can pop it.
+// The error distinguishes bad specs (client's fault) from a full queue or a
+// draining daemon (server's state); the HTTP layer maps them to 400/503.
+func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	prep, err := spec.prepare()
 	if err != nil {
-		return nil, err
+		return JobStatus{}, err
 	}
 	if m.intakeCtx.Err() != nil {
 		m.metrics.rejected.Add(1)
-		return nil, ErrDraining
+		return JobStatus{}, ErrDraining
 	}
 	m.mu.Lock()
 	job := m.registerLocked(prep)
-	m.mu.Unlock()
+	st := job.Status()
+	m.metrics.queued.Add(1)
 	if err := m.queue.Push(job); err != nil {
-		m.mu.Lock()
+		m.metrics.queued.Add(-1)
 		delete(m.jobs, job.ID)
 		if i := slices.Index(m.order, job); i >= 0 {
 			m.order = slices.Delete(m.order, i, i+1)
 		}
 		m.mu.Unlock()
 		m.metrics.rejected.Add(1)
-		return nil, err
+		return JobStatus{}, err
 	}
 	m.metrics.submitted.Add(1)
-	m.metrics.queued.Add(1)
 	if spec.Serving != nil {
 		m.metrics.servingJobs.Add(1)
 	}
-	return job, nil
+	m.mu.Unlock()
+	if m.pushed != nil {
+		m.pushed(job)
+	}
+	return st, nil
 }
 
 // Job looks up a registered job by ID.

@@ -130,7 +130,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}
-	job, err := s.man.Submit(spec)
+	st, err := s.man.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "1")
@@ -140,7 +140,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job.Status())
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

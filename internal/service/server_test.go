@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 
@@ -69,6 +70,28 @@ func submit(t *testing.T, s *Server, spec string) JobStatus {
 		t.Fatalf("submit: unexpected status %+v", st)
 	}
 	return st
+}
+
+// TestSubmitReplyIsQueuedWhenAWorkerWinsTheRace makes a free worker pop the
+// job and run it to completion before Submit returns. The 202 body must
+// still report the job as accepted — queued — and the queued gauge must not
+// dip below zero on the way (the worker's decrement used to land before
+// Submit's increment).
+func TestSubmitReplyIsQueuedWhenAWorkerWinsTheRace(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2, MaxRunning: 1, QueueDepth: 4})
+	m := s.Manager()
+	gauge := int64(-2)
+	m.pushed = func(j *Job) {
+		<-j.Done()
+		gauge = m.metrics.queued.Load()
+	}
+	st := submit(t, s, smallSpec())
+	if gauge != 0 {
+		t.Errorf("queued gauge is %d once the job is done, want 0", gauge)
+	}
+	if got := waitState(t, s, st.ID, StateDone); got.Progress.Evaluated == 0 {
+		t.Errorf("job finished without evaluating anything: %+v", got)
+	}
 }
 
 // waitState polls until the job reaches want (or any terminal state when
@@ -429,5 +452,61 @@ func TestStoreEndpoint(t *testing.T) {
 	}
 	if st.Rows != 1 || st.Hits != 1 || st.Misses != 1 || st.Appends != 1 {
 		t.Fatalf("store status = %+v, want 1 row / 1 hit / 1 miss / 1 append", st)
+	}
+}
+
+// TestDisableStoreEvaluatesLive: against a store that already holds the
+// verdict, a job with disable_store runs its search live — the whole space
+// evaluated, no store hit, the store's counters untouched — while the same
+// spec without it is served from the store. Training and serving jobs
+// alike, and both paths return the same verdict.
+func TestDisableStoreEvaluatesLive(t *testing.T) {
+	store, err := resultstore.Open(filepath.Join(t.TempDir(), "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	s := newTestServer(t, Config{Workers: 2, MaxRunning: 1, QueueDepth: 4, Store: store})
+
+	const servingJob = `{"model":{"preset":"gpt3-13B"},"system":{"preset":"a100-80g","procs":16},%s"serving":{"workload":{"mix":[{"prompt_len":512,"gen_len":128,"weight":1}],"slo":{"ttft_seconds":30,"tpot_seconds":1}},"space":{"procs":16}}}`
+	for _, c := range []struct{ name, plain, bypass string }{
+		{"training", smallSpec(), strings.Replace(smallSpec(), `"top_k":3`, `"top_k":3,"disable_store":true`, 1)},
+		{"serving", fmt.Sprintf(servingJob, ""), fmt.Sprintf(servingJob, `"search":{"disable_store":true},`)},
+	} {
+		run := func(spec string) (JobStatus, JobResult) {
+			t.Helper()
+			st := waitState(t, s, submit(t, s, spec).ID, StateDone)
+			var res JobResult
+			do(t, s, "GET", "/v1/jobs/"+st.ID+"/result", "", &res)
+			res.ID, res.CacheHits = "", 0 // memo warm-up is not part of the verdict
+			return st, res
+		}
+		seeded, want := run(c.plain)
+		if seeded.Progress.StoreHits != 0 || seeded.Progress.Evaluated == 0 {
+			t.Fatalf("%s: seeding run = %+v, want a live evaluation", c.name, seeded.Progress)
+		}
+		before := store.Stats()
+
+		live, got := run(c.bypass)
+		if live.Progress.StoreHits != 0 || live.Progress.Evaluated != seeded.Progress.Evaluated {
+			t.Errorf("%s: disable_store progress = %+v, want %d evaluated and no store hit", c.name, live.Progress, seeded.Progress.Evaluated)
+		}
+		if after := store.Stats(); after != before {
+			t.Errorf("%s: disable_store touched the store: %+v, was %+v", c.name, after, before)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: disable_store verdict differs from the seeded one:\ngot  %+v\nwant %+v", c.name, got, want)
+		}
+
+		hit, served := run(c.plain)
+		if hit.Progress.StoreHits != 1 || hit.Progress.Evaluated != 0 {
+			t.Errorf("%s: resubmitted progress = %+v, want one store hit and nothing evaluated", c.name, hit.Progress)
+		}
+		if s := store.Stats(); s.Hits != before.Hits+1 {
+			t.Errorf("%s: store hits %d, want %d", c.name, s.Hits, before.Hits+1)
+		}
+		if !reflect.DeepEqual(served, want) {
+			t.Errorf("%s: served verdict differs from the seeded one:\ngot  %+v\nwant %+v", c.name, served, want)
+		}
 	}
 }

@@ -44,9 +44,9 @@ type SearchSpec struct {
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 	// DisableStore bypasses the daemon's persistent result store for this
 	// job: no cached verdict is served and the fresh one is not persisted.
-	// Results are identical either way (the store serves bit-identical
-	// verdicts); the escape hatch exists for A/B measurement and to force
-	// re-evaluation.
+	// The job's search runs with no cache attached. Results are identical
+	// either way (the store serves bit-identical verdicts); the escape
+	// hatch exists for A/B measurement and to force re-evaluation.
 	DisableStore bool `json:"disable_store,omitempty"`
 }
 
@@ -101,10 +101,13 @@ type prepared struct {
 // so a bad spec is rejected at submit time (400) rather than failing the job
 // after it queued.
 func (s JobSpec) prepare() (prepared, error) {
-	if s.Serving != nil {
-		return s.prepareServing()
+	if s.Search.TimeoutSeconds < 0 {
+		return prepared{}, fmt.Errorf("service: negative timeout_seconds %g", s.Search.TimeoutSeconds)
 	}
-	var p prepared
+	p := prepared{timeout: time.Duration(s.Search.TimeoutSeconds * float64(time.Second))}
+	if s.Serving != nil {
+		return s.prepareServing(p)
+	}
 	m, err := s.Model.Resolve()
 	if err != nil {
 		return p, err
@@ -123,9 +126,6 @@ func (s JobSpec) prepare() (prepared, error) {
 	if s.Search.MaxInterleave < 0 {
 		return p, fmt.Errorf("service: negative max_interleave %d", s.Search.MaxInterleave)
 	}
-	if s.Search.TimeoutSeconds < 0 {
-		return p, fmt.Errorf("service: negative timeout_seconds %g", s.Search.TimeoutSeconds)
-	}
 	topK := s.Search.TopK
 	switch {
 	case topK < 0:
@@ -138,16 +138,14 @@ func (s JobSpec) prepare() (prepared, error) {
 			Features:      features,
 			MaxInterleave: s.Search.MaxInterleave,
 		},
-		TopK:          topK,
-		Pareto:        s.Search.Pareto,
-		EstimateTotal: true,
-		DisableStore:  s.Search.DisableStore,
+		TopK:   topK,
+		Pareto: s.Search.Pareto,
 	}
 	p.run = func(ctx context.Context, workers int, prog *search.Progress, store *resultstore.Store) (JobResult, error) {
 		opts := opts
 		opts.Workers = workers
 		opts.Progress = prog
-		if store != nil {
+		if store != nil && !s.Search.DisableStore {
 			// A typed-nil *Store behind the interface would defeat the nil
 			// check inside Execution, hence the explicit guard.
 			opts.Cache = store
@@ -168,20 +166,15 @@ func (s JobSpec) prepare() (prepared, error) {
 		}
 		return out, err
 	}
-	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
 	return p, nil
 }
 
 // prepareServing resolves a serving job, reusing the scenario-file resolver
 // so the HTTP spec and configs/scenarios/serving-*.json accept the same
 // shapes and reject the same mistakes.
-func (s JobSpec) prepareServing() (prepared, error) {
-	var p prepared
+func (s JobSpec) prepareServing(p prepared) (prepared, error) {
 	if s.Search.Features != "" || s.Search.MaxInterleave != 0 || s.Search.TopK != 0 || s.Search.Pareto {
 		return p, fmt.Errorf("service: a serving job takes no training search options (features/max_interleave/top_k/pareto)")
-	}
-	if s.Search.TimeoutSeconds < 0 {
-		return p, fmt.Errorf("service: negative timeout_seconds %g", s.Search.TimeoutSeconds)
 	}
 	sc := config.ServingScenario{
 		Model:         s.Model,
@@ -195,15 +188,9 @@ func (s JobSpec) prepareServing() (prepared, error) {
 	if err != nil {
 		return p, err
 	}
-	opts := serving.Options{
-		EstimateTotal: true,
-		DisableStore:  s.Search.DisableStore,
-	}
 	p.run = func(ctx context.Context, workers int, prog *search.Progress, store *resultstore.Store) (JobResult, error) {
-		opts := opts
-		opts.Workers = workers
-		opts.Progress = prog
-		if store != nil {
+		opts := serving.Options{Workers: workers, Progress: prog}
+		if store != nil && !s.Search.DisableStore {
 			opts.Cache = store.ServingCache()
 		}
 		res, err := serving.Search(ctx, spec, opts)
@@ -215,6 +202,5 @@ func (s JobSpec) prepareServing() (prepared, error) {
 			Serving:     &res,
 		}, err
 	}
-	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
 	return p, nil
 }

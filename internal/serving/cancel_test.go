@@ -79,7 +79,7 @@ func TestSearchCancelledMidSearch(t *testing.T) {
 	defer cancel()
 	cancelOnFirstFlush(&prog, cancel)
 	start := time.Now()
-	_, err := Search(ctx, bigSpec(), Options{Workers: 1, Progress: &prog, EstimateTotal: true})
+	_, err := Search(ctx, bigSpec(), Options{Workers: 1, Progress: &prog})
 	took := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -189,7 +189,7 @@ func TestSearchOnProgressFinalSnapshot(t *testing.T) {
 		baseline := runtime.NumGoroutine()
 		var f finalSnapshots
 		res, err := Search(context.Background(), bigSpec(), Options{
-			Workers: 2, EstimateTotal: true, OnProgress: f.record, ProgressInterval: interval,
+			Workers: 2, OnProgress: f.record, ProgressInterval: interval,
 		})
 		if err != nil {
 			t.Fatal(err)

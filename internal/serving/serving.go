@@ -215,10 +215,9 @@ func (s Spec) Validate() error {
 type Options struct {
 	// Workers bounds evaluation concurrency; <=0 means GOMAXPROCS.
 	Workers int
-	// Progress, when non-nil, receives live counter updates.
+	// Progress, when non-nil, receives live counter updates and the size of
+	// the engine space (for the ETA).
 	Progress *search.Progress
-	// EstimateTotal adds the engine-space size to Progress up front (ETA).
-	EstimateTotal bool
 	// OnProgress, when non-nil, is called periodically with snapshots.
 	OnProgress       func(search.ProgressSnapshot)
 	ProgressInterval time.Duration
@@ -227,10 +226,14 @@ type Options struct {
 	// identical either way; only PreScreened and speed change.
 	DisablePreScreen bool
 	// Cache, when non-nil, serves whole searches from a persistent store
-	// and records finished ones (see internal/resultstore).
+	// and records finished ones (see internal/resultstore); nil bypasses
+	// the store.
 	Cache Cache
-	// DisableStore bypasses Cache without unwiring it.
-	DisableStore bool
+}
+
+// observer is the observation half of the options.
+func (o Options) observer() search.Observer {
+	return search.Observer{Progress: o.Progress, OnProgress: o.OnProgress, Interval: o.ProgressInterval}
 }
 
 // Cache is a store of finished serving-search verdicts, the serving

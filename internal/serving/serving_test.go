@@ -2,10 +2,13 @@ package serving
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"calculon/internal/inference"
 	"calculon/internal/model"
+	"calculon/internal/search"
 	"calculon/internal/system"
 	"calculon/internal/units"
 )
@@ -69,7 +72,7 @@ func TestServingSearchBasic(t *testing.T) {
 	// objective-equal points, so survivors are pairwise non-dominated.
 	for i := range res.Frontier {
 		for j := range res.Frontier {
-			if i != j && dominates(&res.Frontier[i], &res.Frontier[j]) {
+			if i != j && deploymentDominates(&res.Frontier[i], &res.Frontier[j]) {
 				t.Errorf("frontier[%d] dominates frontier[%d]", i, j)
 			}
 		}
@@ -247,22 +250,93 @@ func TestMeanWorkload(t *testing.T) {
 }
 
 func TestFrontierCompaction(t *testing.T) {
-	var f frontier
-	f.push(Deployment{Seq: 1, UserTokensPerSec: 10, ClusterTokensPerSec: 100, CostPerMToken: 5})
+	f := newFrontier()
+	f.Push(Deployment{Seq: 1, UserTokensPerSec: 10, ClusterTokensPerSec: 100, CostPerMToken: 5})
 	// Dominated on every axis.
-	f.push(Deployment{Seq: 2, UserTokensPerSec: 9, ClusterTokensPerSec: 90, CostPerMToken: 6})
+	f.Push(Deployment{Seq: 2, UserTokensPerSec: 9, ClusterTokensPerSec: 90, CostPerMToken: 6})
 	// Objective-equal duplicate of seq 1: deduplicated, lowest seq kept.
-	f.push(Deployment{Seq: 3, UserTokensPerSec: 10, ClusterTokensPerSec: 100, CostPerMToken: 5})
+	f.Push(Deployment{Seq: 3, UserTokensPerSec: 10, ClusterTokensPerSec: 100, CostPerMToken: 5})
 	// Trades user rate for cluster rate: survives.
-	f.push(Deployment{Seq: 4, UserTokensPerSec: 5, ClusterTokensPerSec: 200, CostPerMToken: 5})
+	f.Push(Deployment{Seq: 4, UserTokensPerSec: 5, ClusterTokensPerSec: 200, CostPerMToken: 5})
 	// Cheaper but worse everywhere else: survives.
-	f.push(Deployment{Seq: 5, UserTokensPerSec: 1, ClusterTokensPerSec: 10, CostPerMToken: 1})
-	f.compact()
-	if len(f.pts) != 3 {
-		t.Fatalf("got %d survivors, want 3: %+v", len(f.pts), f.pts)
+	f.Push(Deployment{Seq: 5, UserTokensPerSec: 1, ClusterTokensPerSec: 10, CostPerMToken: 1})
+	pts := f.Front()
+	if len(pts) != 3 {
+		t.Fatalf("got %d survivors, want 3: %+v", len(pts), pts)
 	}
-	if f.pts[0].Seq != 5 || f.pts[1].Seq != 1 || f.pts[2].Seq != 4 {
-		t.Errorf("wrong survivors/order: %+v", f.pts)
+	if pts[0].Seq != 5 || pts[1].Seq != 1 || pts[2].Seq != 4 {
+		t.Errorf("wrong survivors/order: %+v", pts)
+	}
+}
+
+// TestFrontierMatchesBruteForce is the shared fold's property test on the
+// serving instantiation: over random deployment streams with heavy ties on
+// all three objectives, any arrival order and any merge points, the frontier equals an O(n²) reference seq for seq — a point
+// survives when no other point weakly dominates it while being strictly
+// better somewhere or equal everywhere with a lower seq.
+func TestFrontierMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		levels := 1 + rng.Intn(8)
+		level := func() float64 { return float64(1 + rng.Intn(levels)) }
+		pts := make([]Deployment, rng.Intn(600))
+		for i := range pts {
+			pts[i] = Deployment{Seq: i, CostPerMToken: level(), UserTokensPerSec: level(), ClusterTokensPerSec: level()}
+		}
+		var want []Deployment
+		for i := range pts {
+			beaten := false
+			for j := range pts {
+				p, q := &pts[i], &pts[j]
+				if j != i && deploymentDominates(q, p) && (!deploymentDominates(p, q) || q.Seq < p.Seq) {
+					beaten = true
+					break
+				}
+			}
+			if !beaten {
+				want = append(want, pts[i])
+			}
+		}
+		slices.SortFunc(want, func(a, b Deployment) int { return deploymentBefore(&a, &b) })
+
+		// Random arrival order over several folds, with fronts taken and
+		// folds merged at random points, then everything merged into one.
+		folds := make([]search.ParetoFold[Deployment], 1+rng.Intn(4))
+		for i := range folds {
+			folds[i] = newFrontier()
+		}
+		for _, i := range rng.Perm(len(pts)) {
+			f := &folds[rng.Intn(len(folds))]
+			f.Push(pts[i])
+			switch rng.Intn(64) {
+			case 0:
+				f.Front()
+			case 1:
+				if o := &folds[rng.Intn(len(folds))]; o != f {
+					mergeFold(f, o)
+					*o = newFrontier()
+				}
+			}
+		}
+		for i := 1; i < len(folds); i++ {
+			mergeFold(&folds[0], &folds[i])
+		}
+		got := folds[0].Front()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: frontier holds %d points, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Seq != want[i].Seq {
+				t.Fatalf("trial %d: frontier[%d] is seq %d, want %d", trial, i, got[i].Seq, want[i].Seq)
+			}
+		}
+	}
+}
+
+// mergeFold folds every point of o into f.
+func mergeFold(f, o *search.ParetoFold[Deployment]) {
+	for _, d := range o.Front() {
+		f.Push(d)
 	}
 }
 
