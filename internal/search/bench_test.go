@@ -17,7 +17,7 @@ import (
 // default delta path, so the ratio of the two keeps the delta win honest
 // the same way the sweep/no-prune pair does for the lattice prune.
 func BenchmarkExecutionSearch(b *testing.B) {
-	benchExecutionSearch(b, true)
+	benchExecutionSearch(b, Options{DisableDelta: true})
 }
 
 // BenchmarkExecutionSearchDelta is the identical search on the default
@@ -25,16 +25,24 @@ func BenchmarkExecutionSearch(b *testing.B) {
 // adjacent toggle order, recomputing only the term groups each flipped
 // toggle can perturb.
 func BenchmarkExecutionSearchDelta(b *testing.B) {
-	benchExecutionSearch(b, false)
+	benchExecutionSearch(b, Options{})
 }
 
-func benchExecutionSearch(b *testing.B, disableDelta bool) {
+// BenchmarkParetoSearch is the delta search with the time-versus-memory
+// front on (Options.Pareto; the CLI's -pareto and the daemon's pareto
+// field), so each feasible strategy also passes through the Pareto fold. Its gap to BenchmarkExecutionSearchDelta is the fold's cost
+// inside a real search, where the stream arrives in enumeration order
+// rather than the random order of BenchmarkParetoFold.
+func BenchmarkParetoSearch(b *testing.B) {
+	benchExecutionSearch(b, Options{Pareto: true})
+}
+
+// benchExecutionSearch runs the gpt3-13B search of the execution-search
+// benchmarks with opts, whose Enum it fills in.
+func benchExecutionSearch(b *testing.B, opts Options) {
 	m := model.MustPreset("gpt3-13B").WithBatch(64)
 	sys := system.A100(64)
-	opts := Options{
-		Enum:         execution.EnumOptions{Procs: 64, Features: execution.FeatureSeqPar, MaxInterleave: 2},
-		DisableDelta: disableDelta,
-	}
+	opts.Enum = execution.EnumOptions{Procs: 64, Features: execution.FeatureSeqPar, MaxInterleave: 2}
 	var evaluated int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
