@@ -53,7 +53,7 @@ e2e:
 # bench-smoke job does). bench-update re-measures and rewrites the baseline
 # — run it on the reference machine after a deliberate performance change.
 BENCH_CMDS = \
-	$(GO) test -run '^$$' -bench BenchmarkExecutionSearch -benchtime 100x -count 3 ./internal/search; \
+	$(GO) test -run '^$$' -bench 'BenchmarkExecutionSearch|BenchmarkParetoSearch' -benchtime 100x -count 3 ./internal/search; \
 	$(GO) test -run '^$$' -bench BenchmarkSystemSizeSweep -benchtime 1x ./internal/search; \
 	$(GO) test -run '^$$' -bench 'BenchmarkTopKFold|BenchmarkParetoFold' -benchtime 100x ./internal/search; \
 	$(GO) test -run '^$$' -bench BenchmarkEfficiencyCurveAt -benchtime 100000x ./internal/system; \

@@ -20,11 +20,11 @@ func (s *Store) Lookup(m model.LLM, sys system.System, opts search.Options) (sea
 	if err != nil {
 		return search.Result{}, false
 	}
-	v, ok := s.lookup(key)
+	row, ok := s.lookup(key, "")
 	if !ok {
 		return search.Result{}, false
 	}
-	return v.result(), true
+	return row.Verdict.result(), true
 }
 
 // Store implements search.Cache: it commits a finished search's verdict

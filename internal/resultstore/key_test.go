@@ -29,9 +29,8 @@ func normalizedOpts(sys system.System) search.Options {
 }
 
 // TestKeyIgnoresDeltaAndScheduling: options proven result-AND-counter
-// neutral must not reach the key — a verdict computed with delta evaluation
-// (the default), without it, or under any worker count is the same search
-// and must hit the same rows.
+// neutral must not reach the key — a verdict computed under any worker
+// count is the same search and must hit the same rows.
 func TestKeyIgnoresDeltaAndScheduling(t *testing.T) {
 	m := model.MustPreset("gpt3-13B")
 	sys := system.A100(64)
@@ -40,7 +39,6 @@ func TestKeyIgnoresDeltaAndScheduling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mutate := range []func(*search.Options){
-		func(o *search.Options) { o.DisableDelta = true },
 		func(o *search.Options) { o.Workers = 7 },
 	} {
 		o := normalizedOpts(sys)
@@ -132,26 +130,26 @@ func TestKeyStableAcrossMapIteration(t *testing.T) {
 // renaming a JSON tag, or tweaking the encoder.
 func TestKeyGoldenShippedConfigs(t *testing.T) {
 	golden := map[string]string{
-		"chinchilla-70B/a100-80g":        "4d55ca6036bb5a077565424a0afea490101ff3deaf33c336f83bc5bbc0621a9a",
-		"chinchilla-70B/h100-80g-ddr512": "1f56dad56897b3fff654f2ca7573a7dd3a1ff154a921e225d743250a1b9021b4",
-		"gpt2-1.5B/a100-80g":             "240520c997cc6cfbf213004fc60a343f42f01e5b5ac49ed6daa7a622516d8b04",
-		"gpt2-1.5B/h100-80g-ddr512":      "a5e58732f45a5fa45d7d2b0531e8d540da8718c6319beba368b4fb46568d0e79",
-		"gpt3-13B/a100-80g":              "9f9c4f7e534275b2b8fb3dd760762f7c3d944eb4fbeaaa00abcff0a73b866ab4",
-		"gpt3-13B/h100-80g-ddr512":       "256d5fb2776835c993e5e1680194da52831e4cda32beef0422a18989c4b2a99a",
-		"gpt3-175B/a100-80g":             "87bbb5d6db4fca6c2b4159baac09bb80160ef76181e68108cd952bf020979423",
-		"gpt3-175B/h100-80g-ddr512":      "37b01755c2f08c569af9a1e74fb880def46caaa8bb92760b4e14cb9da6317eec",
-		"gpt3-6.7B/a100-80g":             "fc917a43decf822339ff4f25756e8df67fbbb82a0247cd9199d86aad8e5c3b39",
-		"gpt3-6.7B/h100-80g-ddr512":      "20166a9fbfac0069c48f272c9ec6ffbc7934b15f166e8f59b5b35eb7347d17b4",
-		"llama-65B/a100-80g":             "5f8842eeb6bae85b8dbb8e2a2d44a06d268472513d56f18160406a18f21bb774",
-		"llama-65B/h100-80g-ddr512":      "b90769354aca278eba15ab0e372ee95860b23fb65ed9d2fd3881985627cbbc24",
-		"megatron-1T/a100-80g":           "282c18a32f8f07ba8e7ce084953955c2cf0434517331d7cd66881657a831c3c4",
-		"megatron-1T/h100-80g-ddr512":    "796025ead1e7ef9bbb36be9927a384934b6dbb0e5ce9965b952b048fd6bad259",
-		"megatron-22B/a100-80g":          "73a12b5f36f383b545ccc7b933b10a1fc4b4fde3c0727a797142192958561f26",
-		"megatron-22B/h100-80g-ddr512":   "833c88eeee51ef1d6104e21572085101bd9a49f08224f60b687641916d067141",
-		"palm-540B/a100-80g":             "b5f34a995e56fe829becc6dd4e4a4e9cd7cedb53507e3b0e765ef612862e274d",
-		"palm-540B/h100-80g-ddr512":      "949993af8690ef0f469d5843cd0b655e2e05827f104435e99f47f2945c1e3f76",
-		"turing-530B/a100-80g":           "00014b01a47fb4f339ab25da3697bd280f190ec0601aeb9c2cfc2d6eec834769",
-		"turing-530B/h100-80g-ddr512":    "dac5dea9ded6cdc0a2e8c5abee17f7fdc92ea1df0517e120e61a1aa7fa37c4fc",
+		"chinchilla-70B/a100-80g":        "d400ef7b739fa48a081cd86c729b0705eebec2809698d5d53d60c752c0d0ea9e",
+		"chinchilla-70B/h100-80g-ddr512": "7e1825f87e5ad5bb9b10f1654b49d059134c42d0f13d2172cbcc6983b7054b96",
+		"gpt2-1.5B/a100-80g":             "44cae5f0714b91c57876841232a6bf3047d99c3c1f937fbc490da922b3efa447",
+		"gpt2-1.5B/h100-80g-ddr512":      "a42fbe5f33e3138c10c7e53ff4030459af4b286b85417246ce1a224525655353",
+		"gpt3-13B/a100-80g":              "40f8b420e7918742a10db4f799948cb5ff53908be8d0f25176dc001404a9b779",
+		"gpt3-13B/h100-80g-ddr512":       "523991bbf0e2dc1a302cbeba724cd2110b01dad6a74d462b2ca8f1b879a8bf70",
+		"gpt3-175B/a100-80g":             "c75e6ccad69a804b2fdf51578a1a2c694b485b252688ce6c35978767bf35a61d",
+		"gpt3-175B/h100-80g-ddr512":      "3854bd33cd5f97b71a0ce55bfa7fdedd295489850c3b7e8c81599db28552a131",
+		"gpt3-6.7B/a100-80g":             "098ac0a0565eb5a812f655cf049bd771005cc4a08a8261f4f4b1910976b2271f",
+		"gpt3-6.7B/h100-80g-ddr512":      "4e96e110cfd3ae192ed1e984ae843cdaafe63fe02c53ee5f4fd050de9a3ff995",
+		"llama-65B/a100-80g":             "22b4c7d36c1ffa41fd03988e7a49d1bc3639af3f01500a285531cb67f0466236",
+		"llama-65B/h100-80g-ddr512":      "7ce447c430de6f511205e69e79819e8cfcbd9bd6bfe3afafeefacebb6eb03fbd",
+		"megatron-1T/a100-80g":           "0dfa11c1844bf2b74b0e000569dc94a049e6033a93af2c16828d9670a03fd4bb",
+		"megatron-1T/h100-80g-ddr512":    "4e2c13c3a24d2481ebe3d598c3af24bcaf23de490599c589d154c8025fdf835a",
+		"megatron-22B/a100-80g":          "3854a6c6c132b8f0a8b5eb9ce4a3758476772b25f38af23ad34ce67ba20d9be7",
+		"megatron-22B/h100-80g-ddr512":   "0be1687615ce2322cb4f7cc67f9439bbe42f13607914dce849b4b6db197db40a",
+		"palm-540B/a100-80g":             "db7428fe4cf2519c7e6bed41f5025c0ab8d0029a1236b63e5a7afe7373fef09f",
+		"palm-540B/h100-80g-ddr512":      "2b35fe7185f438ebba2e5018817fdedf8b84ca75284316c6d2ff37f3c94764d7",
+		"turing-530B/a100-80g":           "d5eef00924aeb7c85e938fe49668fe2ba3055e15a0dc3b47f3af3456248f3c00",
+		"turing-530B/h100-80g-ddr512":    "8eaab918f7ea7cb0510d6b32e4d84467704931ae69cba95c740c276c4c582dad",
 	}
 	for _, mc := range []string{
 		"chinchilla-70B", "gpt2-1.5B", "gpt3-13B", "gpt3-175B", "gpt3-6.7B",
@@ -253,21 +251,6 @@ func TestKeyNoCollisions(t *testing.T) {
 		o.Pareto = true
 		add("pareto", baseM, baseSys, o)
 	}
-	// The Disable* switches change the diagnostic counters a verdict
-	// carries, so each spelling must have its own identity.
-	for _, d := range []string{"prescreen", "memo", "subtree"} {
-		o := normalizedOpts(baseSys)
-		switch d {
-		case "prescreen":
-			o.DisablePreScreen = true
-		case "memo":
-			o.DisableMemo = true
-		case "subtree":
-			o.DisableSubtreePrune = true
-		}
-		add("disable-"+d, baseM, baseSys, o)
-	}
-
 	// Scheduling and observability knobs must NOT change the identity: a
 	// sweep sharded across machines with different worker counts has to hit
 	// the rows a single machine wrote.

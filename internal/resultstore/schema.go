@@ -43,7 +43,11 @@ const (
 	// evaluation), which renumbers the deterministic tie-break sequence —
 	// equal-rate strategies can now resolve to a different winner than
 	// version-1 rows recorded.
-	StrategySpaceVersion = 2
+	//
+	// Version 3: the search's evaluation switches (pre-screen, memo,
+	// subtree prune) left the key payload, so version-2 rows sit under keys
+	// no lookup produces any more.
+	StrategySpaceVersion = 3
 )
 
 // Row is one committed search verdict: the envelope (schema/space versions,

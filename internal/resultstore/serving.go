@@ -22,7 +22,10 @@ const (
 	// and are skipped at load time, never served. It versions the serving
 	// space independently of StrategySpaceVersion — a training-model change
 	// must not evict serving verdicts, nor the reverse.
-	ServingSpaceVersion = 1
+	//
+	// Version 2: the pre-screen switch left the key, so version-1 rows sit
+	// under keys no lookup produces any more.
+	ServingSpaceVersion = 2
 )
 
 // ServingVerdict is the stored form of a serving.Result, mirrored
@@ -73,26 +76,22 @@ func (v ServingVerdict) result() serving.Result {
 }
 
 // servingKeyPayload is the exact set of inputs that can reach a serving
-// search's result — the normalized spec plus the one Disable* switch that
-// changes a diagnostic counter. Scheduling knobs (Workers, Progress,
-// callbacks) are proven result-independent by the serving equivalence tests
-// and are deliberately absent, for the same sharding reason as keyPayload.
+// search's result: the normalized spec. Scheduling knobs (Workers,
+// Progress, callbacks) are proven result-independent by the serving
+// equivalence tests and are deliberately absent, for the same sharding
+// reason as keyPayload.
 type servingKeyPayload struct {
-	Space            int          `json:"serving_space_version"`
-	Spec             serving.Spec `json:"spec"`
-	DisablePreScreen bool         `json:"disable_pre_screen"`
+	Space int          `json:"serving_space_version"`
+	Spec  serving.Spec `json:"spec"`
 }
 
 // ServingKey computes the canonical content hash identifying one serving
 // search. Callers must pass the spec as the serving engine normalizes it
 // (Spec.Normalize applied) so every spelling of the same search maps to one
-// key; serving.Search consults its Cache only after that normalization.
-func ServingKey(spec serving.Spec, opts serving.Options) (string, error) {
-	payload := servingKeyPayload{
-		Space:            ServingSpaceVersion,
-		Spec:             spec,
-		DisablePreScreen: opts.DisablePreScreen,
-	}
+// key; serving.Search consults its Cache only after that normalization. No
+// option reaches the key; the parameter mirrors serving.Cache's methods.
+func ServingKey(spec serving.Spec, _ serving.Options) (string, error) {
+	payload := servingKeyPayload{Space: ServingSpaceVersion, Spec: spec}
 	data, err := json.Marshal(payload)
 	if err != nil {
 		return "", fmt.Errorf("resultstore: serving key encoding: %w", err)
@@ -140,11 +139,11 @@ func (c ServingCache) Lookup(spec serving.Spec, opts serving.Options) (serving.R
 	if err != nil {
 		return serving.Result{}, false
 	}
-	v, ok := c.s.lookupServing(key)
+	row, ok := c.s.lookup(key, KindServing)
 	if !ok {
 		return serving.Result{}, false
 	}
-	return v.result(), true
+	return row.Serving.result(), true
 }
 
 // Store implements serving.Cache: it commits a finished serving search's

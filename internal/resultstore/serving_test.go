@@ -100,7 +100,6 @@ func TestServingKeySeparatesSearches(t *testing.T) {
 	for name, mutate := range map[string]func(*serving.Spec, *serving.Options){
 		"slo":        func(s *serving.Spec, _ *serving.Options) { s.Workload.SLO.TPOT = units.Seconds(0.5) },
 		"space":      func(s *serving.Spec, _ *serving.Options) { s.Space.MaxBatch = 8 },
-		"prescreen":  func(_ *serving.Spec, o *serving.Options) { o.DisablePreScreen = true },
 		"prefillsys": func(s *serving.Spec, _ *serving.Options) { sys := system.A100(16); s.PrefillSystem = &sys },
 	} {
 		sp, op := spec, serving.Options{}
@@ -146,15 +145,16 @@ func TestServingRowsCoexistWithTraining(t *testing.T) {
 	if s := st.Stats(); s.Rows != 2 || s.Loaded != 4 || s.Stale != 2 {
 		t.Fatalf("stats = %+v, want train+serving live and old-space+unknown-kind stale", s)
 	}
-	if _, ok := st.lookup("train"); !ok {
+	if _, ok := st.verdict("train"); !ok {
 		t.Error("training row lost in a mixed-kind file")
 	}
-	if v, ok := st.lookupServing(key); !ok || v.Evaluated != 5 {
-		t.Errorf("serving row = (%+v, %v), want evaluated 5", v, ok)
+	if row, ok := st.lookup(key, KindServing); !ok || row.Serving.Evaluated != 5 {
+		t.Errorf("serving row = (%+v, %v), want evaluated 5", row, ok)
 	}
-	// The two indices do not bleed into each other even on equal keys.
-	if _, ok := st.lookup(key); ok {
-		t.Error("serving row served from the training index")
+	// The kinds do not bleed into each other: a training lookup misses a
+	// serving row under the same key.
+	if _, ok := st.verdict(key); ok {
+		t.Error("serving row served to a training lookup")
 	}
 }
 

@@ -34,8 +34,8 @@ type counters struct {
 
 // Stats is one observation of a store's activity.
 type Stats struct {
-	// Rows is the number of distinct keys currently indexed, summed across
-	// the training and serving indices.
+	// Rows is the number of distinct keys currently indexed, training and
+	// serving rows together.
 	Rows int
 	// Loaded counts the rows read back at Open (before dedup); Stale the
 	// subset skipped for carrying an outdated strategy-space version;
@@ -57,11 +57,11 @@ type Stats struct {
 type Store struct {
 	ctr counters
 
-	mu      sync.Mutex
-	f       *os.File
-	path    string
-	index   map[string]Verdict
-	serving map[string]ServingVerdict
+	mu   sync.Mutex
+	f    *os.File
+	path string
+	// index holds the last row appended under each key, of either kind.
+	index   map[string]*Row
 	pending []Row
 	batch   int
 	closed  bool
@@ -95,11 +95,10 @@ func Open(path string) (*Store, error) {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 	s := &Store{
-		f:       f,
-		path:    path,
-		index:   make(map[string]Verdict),
-		serving: make(map[string]ServingVerdict),
-		batch:   DefaultBatchSize,
+		f:     f,
+		path:  path,
+		index: make(map[string]*Row),
+		batch: DefaultBatchSize,
 	}
 	if err := s.load(); err != nil {
 		// Close cannot mask the load error: the file was only read.
@@ -134,7 +133,7 @@ func (s *Store) load() error {
 			if row.stale() {
 				s.stale++
 			} else {
-				s.indexRow(row)
+				s.index[row.Key] = &row
 			}
 		}
 		off += nl + 1
@@ -162,19 +161,8 @@ func (s *Store) load() error {
 		return fmt.Errorf("resultstore: %s: %w", s.path, err)
 	}
 	s.loaded++
-	s.indexRow(row)
+	s.index[row.Key] = &row
 	return nil
-}
-
-// indexRow files the row's verdict under the index of its kind. Caller
-// holds mu (or is single-threaded load) and has already screened staleness;
-// decodeRow/Append guarantee a serving row carries its payload.
-func (s *Store) indexRow(row Row) {
-	if row.Kind == KindServing {
-		s.serving[row.Key] = *row.Serving
-	} else {
-		s.index[row.Key] = row.Verdict
-	}
 }
 
 // decodeRow parses one JSONL line into a Row, enforcing the envelope
@@ -209,32 +197,23 @@ func (s *Store) SetBatchSize(n int) {
 	s.batch = n
 }
 
-// lookup returns the training verdict stored under key, if any.
-func (s *Store) lookup(key string) (Verdict, bool) {
+// lookup returns the row of the given kind stored under key, if any; a row
+// of the other kind is a miss. Hits and misses of both kinds land in the
+// same counters — the stats surface observes store traffic, not per-kind
+// traffic. Indexed rows are never modified, so the caller may read the row
+// without the lock; decodeRow and Append guarantee a serving row carries
+// its payload.
+func (s *Store) lookup(key, kind string) (*Row, bool) {
 	s.mu.Lock()
-	v, ok := s.index[key]
+	row, ok := s.index[key]
 	s.mu.Unlock()
+	ok = ok && row.Kind == kind
 	if ok {
 		s.ctr.hits.Add(1)
 	} else {
 		s.ctr.misses.Add(1)
 	}
-	return v, ok
-}
-
-// lookupServing returns the serving verdict stored under key, if any. Hits
-// and misses land in the same counters as training lookups — the stats
-// surface observes store traffic, not per-kind traffic.
-func (s *Store) lookupServing(key string) (ServingVerdict, bool) {
-	s.mu.Lock()
-	v, ok := s.serving[key]
-	s.mu.Unlock()
-	if ok {
-		s.ctr.hits.Add(1)
-	} else {
-		s.ctr.misses.Add(1)
-	}
-	return v, ok
+	return row, ok
 }
 
 // Append records a row: the index serves it immediately (last write wins)
@@ -253,7 +232,7 @@ func (s *Store) Append(row Row) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.indexRow(row)
+	s.index[row.Key] = &row
 	s.pending = append(s.pending, row)
 	s.ctr.appends.Add(1)
 	if len(s.pending) >= s.batch {
@@ -318,7 +297,7 @@ func (s *Store) Close() error {
 // Stats snapshots the store's activity counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	rows, loaded, stale, recovered := len(s.index)+len(s.serving), s.loaded, s.stale, s.recoveredBytes
+	rows, loaded, stale, recovered := len(s.index), s.loaded, s.stale, s.recoveredBytes
 	s.mu.Unlock()
 	return Stats{
 		Rows:           rows,

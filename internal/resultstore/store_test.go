@@ -8,7 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"calculon/internal/model"
 	"calculon/internal/perf"
+	"calculon/internal/search"
+	"calculon/internal/serving"
+	"calculon/internal/system"
 )
 
 // testRow fabricates a committed row with a distinguishable verdict. The
@@ -45,7 +49,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		}
 	}
 	// The index serves appended rows before any flush.
-	if v, ok := st.lookup("k2"); !ok || v.Evaluated != 200 {
+	if v, ok := st.verdict("k2"); !ok || v.Evaluated != 200 {
 		t.Fatalf("pre-flush lookup k2 = (%+v, %v), want evaluated 200", v, ok)
 	}
 	if err := st.Close(); err != nil {
@@ -62,7 +66,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("reopen stats = %+v, want 3 clean rows", stats)
 	}
 	for _, r := range rows {
-		v, ok := st2.lookup(r.Key)
+		v, ok := st2.verdict(r.Key)
 		if !ok {
 			t.Fatalf("row %s lost across reopen", r.Key)
 		}
@@ -90,7 +94,7 @@ func TestStoreDuplicateKeysLastWriteWins(t *testing.T) {
 	if err := st.Append(testRow("dup", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := st.lookup("dup"); !ok || v.Evaluated != 2 {
+	if v, ok := st.verdict("dup"); !ok || v.Evaluated != 2 {
 		t.Fatalf("live lookup = (%+v, %v), want the second write", v, ok)
 	}
 	if err := st.Close(); err != nil {
@@ -105,7 +109,7 @@ func TestStoreDuplicateKeysLastWriteWins(t *testing.T) {
 	if s := st2.Stats(); s.Rows != 1 || s.Loaded != 2 {
 		t.Fatalf("reopen stats = %+v, want 2 loaded deduped to 1 row", s)
 	}
-	if v, ok := st2.lookup("dup"); !ok || v.Evaluated != 2 {
+	if v, ok := st2.verdict("dup"); !ok || v.Evaluated != 2 {
 		t.Fatalf("replayed lookup = (%+v, %v), want the second write", v, ok)
 	}
 }
@@ -191,7 +195,7 @@ func TestStoreCrashTruncation(t *testing.T) {
 	if stats.Rows != 2 || stats.RecoveredBytes == 0 {
 		t.Fatalf("post-crash stats = %+v, want 2 surviving rows and recovered bytes", stats)
 	}
-	if _, ok := st.lookup("k3"); ok {
+	if _, ok := st.verdict("k3"); ok {
 		t.Fatal("truncated row k3 served after recovery")
 	}
 	// The store stays writable after recovery and the re-appended row lands
@@ -210,7 +214,7 @@ func TestStoreCrashTruncation(t *testing.T) {
 	if s := st2.Stats(); s.Rows != 3 || s.RecoveredBytes != 0 {
 		t.Fatalf("stats after recovery + append + reopen = %+v, want 3 clean rows", s)
 	}
-	if v, ok := st2.lookup("k3"); !ok || v.Evaluated != 33 {
+	if v, ok := st2.verdict("k3"); !ok || v.Evaluated != 33 {
 		t.Fatalf("re-appended k3 = (%+v, %v)", v, ok)
 	}
 }
@@ -236,7 +240,7 @@ func TestStoreCrashSalvage(t *testing.T) {
 	if s := st.Stats(); s.Rows != 2 || s.RecoveredBytes != 0 {
 		t.Fatalf("salvage stats = %+v, want both rows and no dropped bytes", s)
 	}
-	if _, ok := st.lookup("k2"); !ok {
+	if _, ok := st.verdict("k2"); !ok {
 		t.Fatal("salvageable row k2 was dropped")
 	}
 	if err := st.Close(); err != nil {
@@ -287,12 +291,32 @@ func TestStoreCorruptRowRejected(t *testing.T) {
 
 // TestStoreStaleSpaceVersionSkipped: bumping StrategySpaceVersion is the
 // cache-invalidation mechanism — rows from an older space load as stale,
-// are never served, and do not fail the file.
+// are never served, and do not fail the file. The file also holds rows in
+// the format of the binaries before the evaluation switches left the keys
+// (training space 2, serving space 1), filed under the keys this binary
+// computes for the same searches: they too must load as stale, not be
+// served.
 func TestStoreStaleSpaceVersionSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	old := testRow("old", 1)
 	old.Space = StrategySpaceVersion + 1 // not this binary's strategy space
-	writeRawRows(t, path, old, testRow("current", 2))
+
+	m, sys := model.MustPreset("gpt3-13B"), system.A100(64)
+	opts := normalizedOpts(sys)
+	key, err := Key(m, sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentTrain := NewRow(key, m, sys, search.Result{Evaluated: 7, Feasible: 3})
+	parentTrain.Space = 2
+	spec := servingSpec().Normalize()
+	skey, err := ServingKey(spec, serving.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentServe := NewServingRow(skey, spec, serving.Result{Evaluated: 5, Feasible: 1})
+	parentServe.Space = 1
+	writeRawRows(t, path, old, testRow("current", 2), parentTrain, parentServe)
 
 	st, err := Open(path)
 	if err != nil {
@@ -300,14 +324,20 @@ func TestStoreStaleSpaceVersionSkipped(t *testing.T) {
 	}
 	defer st.Close()
 	stats := st.Stats()
-	if stats.Rows != 1 || stats.Loaded != 2 || stats.Stale != 1 {
-		t.Fatalf("stats = %+v, want 1 current row and 1 stale", stats)
+	if stats.Rows != 1 || stats.Loaded != 4 || stats.Stale != 3 {
+		t.Fatalf("stats = %+v, want 1 current row and 3 stale", stats)
 	}
-	if _, ok := st.lookup("old"); ok {
+	if _, ok := st.verdict("old"); ok {
 		t.Fatal("stale-space row served")
 	}
-	if _, ok := st.lookup("current"); !ok {
+	if _, ok := st.verdict("current"); !ok {
 		t.Fatal("current-space row lost")
+	}
+	if res, ok := st.Lookup(m, sys, opts); ok {
+		t.Errorf("space-2 training row served: %+v", res)
+	}
+	if res, ok := st.ServingCache().Lookup(spec, serving.Options{}); ok {
+		t.Errorf("space-1 serving row served: %+v", res)
 	}
 }
 
@@ -340,6 +370,15 @@ func writeRows(t *testing.T, path string, rows []Row) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// verdict is the training lookup the store tests read verdicts through.
+func (s *Store) verdict(key string) (Verdict, bool) {
+	row, ok := s.lookup(key, "")
+	if !ok {
+		return Verdict{}, false
+	}
+	return row.Verdict, true
 }
 
 // writeRawRows writes rows straight to disk, bypassing the store's own

@@ -17,7 +17,7 @@ import (
 // default delta path, so the ratio of the two keeps the delta win honest
 // the same way the sweep/no-prune pair does for the lattice prune.
 func BenchmarkExecutionSearch(b *testing.B) {
-	benchExecutionSearch(b, Options{DisableDelta: true})
+	benchExecutionSearch(b, Options{ref: refArms{noDelta: true}})
 }
 
 // BenchmarkExecutionSearchDelta is the identical search on the default
@@ -101,7 +101,7 @@ func BenchmarkSystemSizeSweep(b *testing.B) {
 // speedup; CI compares both against the committed baseline.
 func BenchmarkSystemSizeSweepNoPrune(b *testing.B) {
 	m, sizes, opts := sweepBenchOptions()
-	opts.DisableSubtreePrune = true
+	opts.ref.noSubtreePrune = true
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := SystemSize(context.Background(), m, func(n int) system.System { return system.A100(n) }, sizes, opts); err != nil {

@@ -78,10 +78,12 @@ func TestTwoPhaseEquivalence(t *testing.T) {
 			{"no-delta", false, false},
 		} {
 			o := opts
-			o.DisablePreScreen = ref.noScreen
-			o.DisableMemo = ref.noMemo
-			o.DisableSubtreePrune = ref.name == "no-subtree-prune"
-			o.DisableDelta = ref.name == "no-delta"
+			o.ref = refArms{
+				noPreScreen:    ref.noScreen,
+				noMemo:         ref.noMemo,
+				noSubtreePrune: ref.name == "no-subtree-prune",
+				noDelta:        ref.name == "no-delta",
+			}
 			o.Workers = 1 + rng.Intn(4)
 			slow, err := Execution(context.Background(), m, sys, o)
 			if err != nil {
@@ -114,7 +116,7 @@ func TestTwoPhaseEquivalence(t *testing.T) {
 				t.Errorf("draw %d (%s): %d cache hits with the memo disabled",
 					i, ref.name, slow.CacheHits)
 			}
-			if (ref.noScreen || o.DisableSubtreePrune) && slow.SubtreePruned != 0 {
+			if (ref.noScreen || o.ref.noSubtreePrune) && slow.SubtreePruned != 0 {
 				t.Errorf("draw %d (%s): %d subtree-pruned with pruning disabled",
 					i, ref.name, slow.SubtreePruned)
 			}
@@ -174,5 +176,44 @@ func TestTwoPhaseCountersReported(t *testing.T) {
 	if res.PreScreened > res.Evaluated-res.Feasible {
 		t.Errorf("pre-screened %d exceeds infeasible %d",
 			res.PreScreened, res.Evaluated-res.Feasible)
+	}
+}
+
+// countingCache is a Cache that never hits and counts its calls.
+type countingCache struct{ lookups, stores int }
+
+func (c *countingCache) Lookup(model.LLM, system.System, Options) (Result, bool) {
+	c.lookups++
+	return Result{}, false
+}
+
+func (c *countingCache) Store(model.LLM, system.System, Options, Result) { c.stores++ }
+
+// TestReferenceArmsBypassCache: the store key does not tell the reference
+// arms apart, so a search running one must neither consult nor feed the
+// Cache — otherwise its zeroed counters would later be served to a default
+// search. The default search consults it once and feeds it once.
+func TestReferenceArmsBypassCache(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(8)
+	sys := system.A100(8)
+	for _, arm := range []struct {
+		name string
+		ref  refArms
+		want int
+	}{
+		{"default", refArms{}, 1},
+		{"no-prescreen", refArms{noPreScreen: true}, 0},
+		{"no-memo", refArms{noMemo: true}, 0},
+		{"no-subtree-prune", refArms{noSubtreePrune: true}, 0},
+		{"no-delta", refArms{noDelta: true}, 0},
+	} {
+		cache := &countingCache{}
+		opts := Options{Enum: execution.EnumOptions{MaxInterleave: 1}, Workers: 1, Cache: cache, ref: arm.ref}
+		if _, err := Execution(context.Background(), m, sys, opts); err != nil {
+			t.Fatalf("%s: %v", arm.name, err)
+		}
+		if cache.lookups != arm.want || cache.stores != arm.want {
+			t.Errorf("%s: %d lookups and %d stores, want %d of each", arm.name, cache.lookups, cache.stores, arm.want)
+		}
 	}
 }

@@ -57,34 +57,6 @@ type Options struct {
 	// ProgressInterval is the OnProgress cadence; 0 means one second.
 	ProgressInterval time.Duration
 
-	// DisablePreScreen turns off the phase-1 analytic feasibility filter so
-	// every strategy takes the full evaluation path. Results are identical
-	// either way (locked in by the equivalence property tests); this exists
-	// as an escape hatch and for A/B measurement. Disabling the pre-screen
-	// also disables subtree pruning, which is built on the same bound.
-	DisablePreScreen bool
-	// DisableMemo turns off the phase-2 block-profile cache inside the
-	// shared perf.Runner. Results are identical either way; see
-	// DisablePreScreen.
-	DisableMemo bool
-	// DisableSubtreePrune turns off the lattice-level filter: without it the
-	// producer screens each (tp,pp,dp) triple with the same closed-form
-	// memory bound the per-leaf pre-screen uses, evaluated at every toggle
-	// projection the enumeration would emit, and drops whole subtrees whose
-	// every leaf the pre-screen would reject — counting the dropped leaves
-	// as Evaluated and PreScreened in closed form instead of enumerating
-	// them. Results and counters are identical either way (locked in by the
-	// equivalence property tests), only slower with the pruning off.
-	DisableSubtreePrune bool
-	// DisableDelta turns off incremental evaluation: each worker normally
-	// threads a perf.RunDelta chain through its strategies, reusing the
-	// term groups the Gray-code-adjacent toggle order leaves unchanged from
-	// one leaf to the next, and this falls back to the scratch path
-	// (RunDetailed) instead. Results and counters are identical either way
-	// (locked in by the delta equivalence tests and the no-delta arm of the
-	// search equivalence suite), only slower with delta off.
-	DisableDelta bool
-
 	// Cache, when non-nil, is a persistent store of finished search verdicts
 	// (see internal/resultstore). It is consulted once per search, after
 	// option normalization and before any evaluation: a hit returns the
@@ -102,6 +74,30 @@ type Options struct {
 	// perf.RunnerGroup through it so block profiles memoized at one size are
 	// served at every other.
 	sharedRunner *perf.Runner
+	// ref selects the reference arms; the zero value runs every speed-up.
+	ref refArms
+}
+
+// refArms turns off the search's result-preserving speed-ups, for the
+// in-package equivalence suites and bench pairs that compare the default
+// search against them. Each arm leaves the results and the Evaluated and
+// Feasible counts bit-identical and zeroes the counter of the path it turns
+// off, if any. A search with an arm set bypasses the Cache: the store key
+// does not tell the arms apart, so a reference run must not be served, nor
+// record counters a default search would later be served.
+type refArms struct {
+	// noPreScreen turns off the phase-1 analytic filter, and with it the
+	// subtree prune, which is built on the same bound.
+	noPreScreen bool
+	// noMemo turns off the phase-2 block-profile cache, including the one a
+	// SystemSize sweep shares across sizes.
+	noMemo bool
+	// noSubtreePrune pre-screens every leaf instead of dropping whole
+	// (tp,pp,dp) subtrees the closed-form bound rules out.
+	noSubtreePrune bool
+	// noDelta evaluates on the scratch path (RunDetailed) instead of a
+	// perf.RunDelta chain per worker.
+	noDelta bool
 }
 
 // Result is the outcome of an execution search.
@@ -117,7 +113,7 @@ type Result struct {
 	// PreScreened counts the evaluations rejected by the phase-1 analytic
 	// filter before any layer-level work (a subset of Evaluated−Feasible);
 	// CacheHits counts evaluations that reused a memoized block profile.
-	// Both are 0 when the corresponding Disable option is set.
+	// Both are 0 on the reference arms that turn those paths off.
 	PreScreened int
 	CacheHits   int
 	// SubtreePruned counts the strategies dropped at the lattice level:
@@ -125,7 +121,7 @@ type Result struct {
 	// toggle combination infeasible, accounted in closed form without being
 	// enumerated. They are a subset of PreScreened (pruned leaves count as
 	// Evaluated and PreScreened, exactly as the leaf-by-leaf path would);
-	// 0 when DisableSubtreePrune or DisablePreScreen is set.
+	// 0 on the reference arms without the subtree prune or the pre-screen.
 	SubtreePruned int
 	// Rates holds every feasible sample rate when CollectRates is set.
 	Rates []float64
@@ -215,7 +211,7 @@ func Execution(ctx context.Context, m model.LLM, sys system.System, opts Options
 	// spelling of the same search maps to one cache identity.
 	var lookup func() (Result, bool)
 	var save func(Result)
-	if opts.Cache != nil && !opts.CollectRates {
+	if opts.Cache != nil && !opts.CollectRates && opts.ref == (refArms{}) {
 		lookup = func() (Result, bool) { return opts.Cache.Lookup(m, sys, opts) }
 		save = func(res Result) { opts.Cache.Store(m, sys, opts, res) }
 	}
@@ -281,13 +277,13 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 			return workerState{}, 0, err
 		}
 	}
-	if opts.DisablePreScreen {
+	if opts.ref.noPreScreen {
 		runner.DisablePreScreen()
 	}
-	if opts.DisableMemo {
+	if opts.ref.noMemo {
 		runner.DisableMemo()
 	}
-	if opts.DisableDelta {
+	if opts.ref.noDelta {
 		runner.DisableDelta()
 	}
 	chunks := make(chan *[]indexed, workers)
@@ -345,7 +341,7 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 	// the enumeration sequence so downstream tie-breaks and ETAs are
 	// bit-identical to the leaf-by-leaf path.
 	var screen *execution.PreScreen
-	if !opts.DisableSubtreePrune && !opts.DisablePreScreen {
+	if !opts.ref.noSubtreePrune && !opts.ref.noPreScreen {
 		screen = execution.NewPreScreen(m, execution.Limits{
 			Procs: sys.Procs,
 			Mem1:  sys.Mem1.Capacity,
@@ -580,7 +576,7 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 		ctx = context.Background()
 	}
 	var group *perf.RunnerGroup
-	if len(sizes) > 0 && !opts.DisableMemo {
+	if len(sizes) > 0 && !opts.ref.noMemo {
 		// Sharing is best-effort: a sysAt that varies memo-relevant inputs
 		// with size makes RunnerFor refuse below, and that size falls back
 		// to a private memo.

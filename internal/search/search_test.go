@@ -176,9 +176,9 @@ func TestSystemSizeSweepEquivalence(t *testing.T) {
 		name string
 		mod  func(*Options)
 	}{
-		{"no-subtree-prune", func(o *Options) { o.DisableSubtreePrune = true }},
-		{"no-shared-memo", func(o *Options) { o.DisableMemo = true }},
-		{"no-prescreen", func(o *Options) { o.DisablePreScreen = true }},
+		{"no-subtree-prune", func(o *Options) { o.ref.noSubtreePrune = true }},
+		{"no-shared-memo", func(o *Options) { o.ref.noMemo = true }},
+		{"no-prescreen", func(o *Options) { o.ref.noPreScreen = true }},
 		{"one-worker", func(o *Options) { o.Workers = 1 }},
 	} {
 		o := base

@@ -55,6 +55,9 @@ type Manager struct {
 	// pushed, when non-nil, sees each accepted job once the scheduler can
 	// pop it, before Submit returns: a test hook for the submit race.
 	pushed func(*Job)
+	// admitting, when non-nil, runs in Submit after the spec is prepared
+	// and before the manager lock is taken: a test hook for the drain race.
+	admitting func()
 }
 
 // NewManager starts a manager with the given worker budget cut into at most
@@ -87,6 +90,8 @@ func (m *Manager) FleetSnapshot() search.ProgressSnapshot { return m.fleet.Snaps
 // Submit validates the spec, registers the job, and queues it, returning
 // its queued status. The status and the gauges are settled under the lock
 // before the push: a free worker may run the job the moment it can pop it.
+// The intake check shares that lock with Drain's intake cancel, so a job is
+// either pushed before the drain empties the queue or refused.
 // The error distinguishes bad specs (client's fault) from a full queue or a
 // draining daemon (server's state); the HTTP layer maps them to 400/503.
 func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
@@ -94,11 +99,15 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
+	if m.admitting != nil {
+		m.admitting()
+	}
+	m.mu.Lock()
 	if m.intakeCtx.Err() != nil {
+		m.mu.Unlock()
 		m.metrics.rejected.Add(1)
 		return JobStatus{}, ErrDraining
 	}
-	m.mu.Lock()
 	job := m.registerLocked(prep)
 	st := job.Status()
 	m.metrics.queued.Add(1)
@@ -265,7 +274,11 @@ func (m *Manager) runJob(job *Job, workers int, release func()) {
 // idempotent; later calls wait for the first to finish.
 func (m *Manager) Drain(ctx context.Context) {
 	m.draining.Do(func() {
+		// Under mu, so no Submit is between its intake check and its push:
+		// every accepted job is in the queue before it is emptied below.
+		m.mu.Lock()
 		m.intakeCancel()
+		m.mu.Unlock()
 		for {
 			job, ok := m.queue.TryPop()
 			if !ok {

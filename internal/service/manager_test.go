@@ -1,6 +1,8 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -70,5 +72,24 @@ func TestEvictionFollowsSubmitOrder(t *testing.T) {
 		if jobs[i].ID != want || m.jobs[want] != jobs[i] {
 			t.Fatalf("listing[%d] = %s, want %s in the registry", i, jobs[i].ID, want)
 		}
+	}
+}
+
+// TestSubmitRacingDrainIsRefused runs a whole drain after Submit has
+// prepared its spec and before it takes the manager lock. The submit must
+// be refused: before the fix it passed the intake check first and pushed a
+// job after the drain had emptied the queue, so the client got a queued
+// job that never ran and the queued gauge stuck at 1.
+func TestSubmitRacingDrainIsRefused(t *testing.T) {
+	m := NewManager(2, 1, 4)
+	m.admitting = func() { m.Drain(context.Background()) }
+	if st, err := m.Submit(validSpec()); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit during a drain = (%+v, %v), want ErrDraining", st, err)
+	}
+	if q := m.metrics.queued.Load(); q != 0 {
+		t.Errorf("queued gauge is %d after the drain, want 0", q)
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Errorf("a refused submit left %d jobs registered", len(jobs))
 	}
 }

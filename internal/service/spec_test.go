@@ -46,8 +46,12 @@ func TestShippedJobSpecsPrepare(t *testing.T) {
 	}
 }
 
-func TestPrepareRejectsBadSpecs(t *testing.T) {
-	cases := []struct {
+// badSpecs each break one field of validSpec.
+func badSpecs() []struct {
+	name string
+	spec JobSpec
+} {
+	return []struct {
 		name string
 		spec JobSpec
 	}{
@@ -68,7 +72,10 @@ func TestPrepareRejectsBadSpecs(t *testing.T) {
 			return s
 		}()},
 	}
-	for _, tc := range cases {
+}
+
+func TestPrepareRejectsBadSpecs(t *testing.T) {
+	for _, tc := range badSpecs() {
 		if _, err := tc.spec.prepare(); err == nil {
 			t.Errorf("%s: prepare accepted a bad spec", tc.name)
 		}

@@ -110,8 +110,8 @@ func TestPreScreenSoundness(t *testing.T) {
 			t.Fatalf("draw %d: screened search: %v", i, err)
 		}
 		scratch, err := Search(context.Background(), spec, Options{
-			Workers:          1 + rng.Intn(4),
-			DisablePreScreen: true,
+			Workers:     1 + rng.Intn(4),
+			noPreScreen: true,
 		})
 		if err != nil {
 			t.Fatalf("draw %d: scratch search: %v", i, err)
@@ -169,5 +169,36 @@ func TestSweepWorkerEquivalence(t *testing.T) {
 	a, b := mustJSON(t, one), mustJSON(t, many)
 	if !bytes.Equal(a, b) {
 		t.Errorf("sweep output diverges across worker budgets:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// countingCache is a Cache that never hits and counts its calls.
+type countingCache struct{ lookups, stores int }
+
+func (c *countingCache) Lookup(Spec, Options) (Result, bool) {
+	c.lookups++
+	return Result{}, false
+}
+
+func (c *countingCache) Store(Spec, Options, Result) { c.stores++ }
+
+// TestPreScreenArmBypassesCache: the store key does not tell the
+// pre-screen-off reference arm apart, so a search running it must neither
+// consult nor feed the Cache — otherwise its zero PreScreened would later
+// be served to a default search. The default search consults it once and
+// feeds it once.
+func TestPreScreenArmBypassesCache(t *testing.T) {
+	for _, noPreScreen := range []bool{false, true} {
+		cache := &countingCache{}
+		if _, err := Search(context.Background(), basicSpec(), Options{Workers: 1, Cache: cache, noPreScreen: noPreScreen}); err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if noPreScreen {
+			want = 0
+		}
+		if cache.lookups != want || cache.stores != want {
+			t.Errorf("noPreScreen=%v: %d lookups and %d stores, want %d of each", noPreScreen, cache.lookups, cache.stores, want)
+		}
 	}
 }

@@ -38,7 +38,7 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 
 	var lookup func() (Result, bool)
 	var save func(Result)
-	if opts.Cache != nil {
+	if opts.Cache != nil && !opts.noPreScreen {
 		lookup = func() (Result, bool) { return opts.Cache.Lookup(spec, opts) }
 		save = func(res Result) { opts.Cache.Store(spec, opts, res) }
 	}
@@ -86,7 +86,7 @@ func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progres
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var screen *preScreen
-	if !opts.DisablePreScreen {
+	if !opts.noPreScreen {
 		screen = newPreScreen(spec, pbar+gbar)
 	}
 	// Without a distinct prefill system both pools share one estimator, so

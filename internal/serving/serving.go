@@ -221,14 +221,16 @@ type Options struct {
 	// OnProgress, when non-nil, is called periodically with snapshots.
 	OnProgress       func(search.ProgressSnapshot)
 	ProgressInterval time.Duration
-	// DisablePreScreen turns off the closed-form capacity pre-screen — the
-	// escape hatch for the soundness equivalence tests. Results are
-	// identical either way; only PreScreened and speed change.
-	DisablePreScreen bool
 	// Cache, when non-nil, serves whole searches from a persistent store
 	// and records finished ones (see internal/resultstore); nil bypasses
 	// the store.
 	Cache Cache
+
+	// noPreScreen turns off the closed-form capacity pre-screen: the
+	// reference arm of the in-package soundness test. Results are identical
+	// either way; only PreScreened and speed change. The store key does not
+	// tell the arm apart, so a search with it set bypasses the Cache.
+	noPreScreen bool
 }
 
 // observer is the observation half of the options.
@@ -238,8 +240,8 @@ func (o Options) observer() search.Observer {
 
 // Cache is a store of finished serving-search verdicts, the serving
 // counterpart of search.Cache. Implementations derive the search identity
-// from the result-affecting inputs only (spec and the Disable* switches —
-// never Workers or callbacks) and must be safe for concurrent use.
+// from the result-affecting inputs only — the normalized spec, never
+// Workers or callbacks — and must be safe for concurrent use.
 type Cache interface {
 	// Lookup returns the stored result of this exact search, if any.
 	Lookup(spec Spec, opts Options) (Result, bool)
